@@ -213,9 +213,9 @@ def _add_sweep_engine_args(parser: argparse.ArgumentParser) -> None:
     grp = parser.add_argument_group("sweep engine")
     grp.add_argument(
         "-w", "--workers", type=_workers_arg, default="auto",
-        help="worker processes: an integer (1 = in-process serial, the "
-             "reference engine; N > 1 = process pool) or 'auto' (default: "
-             "let the calibrated executor decide)",
+        help="worker processes: an integer (1 = in-process serial; "
+             "N > 1 = process pool) or 'auto' (default: let the "
+             "calibrated executor decide)",
     )
     grp.add_argument(
         "--executor", choices=("auto", "serial", "thread", "process"),

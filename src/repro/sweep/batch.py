@@ -98,7 +98,7 @@ def run_point_batch(
     workers, executor:
         Forwarded to :func:`run_sweep` per group (``executor="auto"``
         rides the self-tuning executor; ``None``/``None`` keeps the
-        serial reference path).
+        serial in-process path).
     """
     items = list(items)
     if not items:

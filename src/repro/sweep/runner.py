@@ -46,7 +46,6 @@ from ..core.costmodel import CostModel
 from ..core.loggp import LogGPParameters
 from ..core.predictor import summarize_ge_point, summarize_uq_point
 from ..experiments import ExperimentStore, PointSummary
-from ..kernel import flags as _kernel_flags
 from ..kernel.memo import observe_point_cost, point_weight
 from ..obs import TraceConfig, TraceContext, Tracer, get_tracer, tracing
 from ..obs.telemetry import write_shard
@@ -184,12 +183,8 @@ def _run_chunk(payload):
     later :func:`repro.obs.merge_shards` sees each event and each
     counter exactly once.
     """
-    (store_dir, params, cost_model, uq, fast, trace_doc,
+    (store_dir, params, cost_model, uq, trace_doc,
      ctx_doc, shard_path, chunk_no, indexed) = payload
-    # A spawn-context worker does not inherit a parent's set_enabled(), so
-    # the flag travels in the payload (proven result-neutral by the
-    # differential harness, but the dispatch must still be consistent).
-    _kernel_flags.set_enabled(fast)
     store = (
         ExperimentStore(
             store_dir, params, cost_model,
@@ -199,20 +194,10 @@ def _run_chunk(payload):
         else None
     )
     if trace_doc is None:
-        if fast:
-            # Untraced + fast: run the whole chunk through the SoA batch
-            # evaluator, same as the serial fast branch — per-point width-1
-            # lanes would forfeit the kernel's cross-point win.
-            collected: list = []
-            _evaluate_pending_batch(
-                indexed, params, cost_model, store, uq,
-                lambda idx, point, summary: collected.append((idx, summary)),
-            )
-            return chunk_no, collected, None, None
-        results = [
-            (idx, _evaluate_point(point, params, cost_model, store, uq))
-            for idx, point in indexed
-        ]
+        # Untraced: the whole chunk goes through the SoA batch evaluator,
+        # same as the serial path — per-point width-1 lanes would forfeit
+        # the kernel's cross-point win.
+        results = _batch_results(indexed, params, cost_model, store, uq)
         return chunk_no, results, None, None
     tracer = Tracer(config=TraceConfig.from_dict(trace_doc))
     parent_ctx = TraceContext.from_dict(ctx_doc) if ctx_doc else None
@@ -308,8 +293,8 @@ def _evaluate_pending_batch(
     :func:`repro.kernel.vector.evaluate_ge_points_batch`, so replicate
     lanes sharing a configuration advance in lockstep over one compiled
     plan.  Results are emitted in pending order, and the measured wall
-    time calibrates the executor's point-cost model.  Untraced + fast
-    path only.  Returns the number of batch calls made (chunk count).
+    time calibrates the executor's point-cost model.  Untraced sweeps
+    only.  Returns the number of batch calls made (chunk count).
     """
     from ..kernel.vector import evaluate_ge_points_batch
 
@@ -355,6 +340,16 @@ def _evaluate_pending_batch(
     return 1 if misses else 0
 
 
+def _batch_results(chunk, params, cost_model, store, uq) -> list:
+    """``[(idx, summary)]`` of one chunk through the batch evaluator."""
+    collected: list = []
+    _evaluate_pending_batch(
+        chunk, params, cost_model, store, uq,
+        lambda idx, point, summary: collected.append((idx, summary)),
+    )
+    return collected
+
+
 def run_sweep(
     points: Sequence[SweepPoint],
     params: LogGPParameters,
@@ -378,8 +373,9 @@ def run_sweep(
         The grid (see :func:`repro.sweep.expand_grid`); results come
         back in this order regardless of ``workers``.
     workers:
-        Process count.  ``<= 1`` runs in-process (no pool, no pickling)
-        — the reference path the differential tests compare against.
+        Process count.  ``<= 1`` runs in-process (no pool, no pickling),
+        one point at a time — the path the differential tests run the
+        test oracle's reference engine on.
         With ``executor`` set, ``workers`` merely caps the pool width
         and may be ``None`` (use every available CPU).
     executor:
@@ -530,7 +526,7 @@ def run_sweep(
             tracer.count(f"sweep.decision.{decision.executor}")
 
     if pending and decision.executor == "serial":
-        if _kernel_flags.enabled and not tracer.enabled and executor is not None:
+        if not tracer.enabled and executor is not None:
             n_chunks = _evaluate_pending_batch(
                 pending, params, cost_model, store, uq, finish_point
             )
@@ -556,21 +552,11 @@ def run_sweep(
         n_chunks = len(chunks)
         index_of = dict(pending)
 
-        def _thread_chunk(chunk):
-            if _kernel_flags.enabled:
-                collected: list = []
-                _evaluate_pending_batch(
-                    chunk, params, cost_model, store, uq,
-                    lambda idx, point, summary: collected.append((idx, summary)),
-                )
-                return collected
-            return [
-                (idx, _evaluate_point(point, params, cost_model, store, uq))
-                for idx, point in chunk
-            ]
-
         with ThreadPoolExecutor(max_workers=decision.workers) as tpool:
-            futures = [tpool.submit(_thread_chunk, c) for c in chunks]
+            futures = [
+                tpool.submit(_batch_results, c, params, cost_model, store, uq)
+                for c in chunks
+            ]
             for future in as_completed(futures):
                 for idx, summary in future.result():
                     finish_point(idx, index_of[idx], summary)
@@ -598,7 +584,7 @@ def run_sweep(
             return str(shard_dir / f"shard-chunk-{chunk_no:04d}.jsonl")
 
         payloads = [
-            (store_dir, params, cost_model, uq, _kernel_flags.enabled,
+            (store_dir, params, cost_model, uq,
              trace_doc, ctx_doc, _shard_path(chunk_no), chunk_no, chunk)
             for chunk_no, chunk in enumerate(chunks)
         ]

@@ -1,10 +1,12 @@
-"""The fast-kernel differential oracle: fast path == reference, bit for bit.
+"""The differential oracle: production == reference engine, bit for bit.
 
-``repro.kernel`` re-implements the three step simulators and memoises the
-pure cost functions; the *only* acceptable difference is wall-clock.
-These tests run every application trace (GE, Cannon, stencil, triangular
-solve) through every engine (standard, worst-case, causal) with the fast
-path off and on, and require:
+Production runs the kernel (:mod:`repro.kernel`): re-implemented step
+simulators, memoised pure cost functions, the batch evaluator.  The test
+oracle (``tests/oracle``) keeps the straightforward transcriptions it is
+proven against; the *only* acceptable difference is wall-clock.  These
+tests run every application trace (GE, Cannon, stencil, triangular
+solve) through every engine (standard, worst-case, causal) on both
+implementations, and require:
 
 * identical :class:`PredictionReport` numbers — ``repr``-equal floats,
   not approx-equal;
@@ -19,6 +21,8 @@ path off and on, and require:
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -36,15 +40,22 @@ from repro.apps import (
 )
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.core.predictor import summarize_ge_point
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.layouts import DiagonalLayout, RowStrippedCyclicLayout
 from repro.machine.emulator import MachineEmulator
 from repro.obs import Tracer, tracing
 from repro.sweep import expand_grid, run_sweep
 from repro.uq import UQSpec, run_uq
 
+from .oracle import reference_engine
+
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
+
+
+def engine(oracle: bool):
+    """The oracle's reference engine, or production (the kernel)."""
+    return reference_engine() if oracle else nullcontext()
 
 
 def _trace_cases():
@@ -85,11 +96,11 @@ TRACE_CASES = _trace_cases()
 TRACE_IDS = [c[0] for c in TRACE_CASES]
 
 
-def _predict(trace, params, cost_model, mode, fast):
+def _predict(trace, params, cost_model, mode, oracle):
     """One traced prediction run: (report, tracer event stream reprs)."""
     clear_all_caches()
     tracer = Tracer()
-    with fast_path(fast), tracing(tracer):
+    with engine(oracle), tracing(tracer):
         report = ProgramSimulator(params, cost_model, mode=mode, seed=0).run(trace)
     return report, [repr(e) for e in tracer.events]
 
@@ -101,9 +112,9 @@ def _predict(trace, params, cost_model, mode, fast):
     ids=TRACE_IDS,
 )
 def test_prediction_bit_identical(trace, params, cost_model, mode):
-    """Every app x engine: fast and reference predictions are bit-equal."""
-    ref, ref_events = _predict(trace, params, cost_model, mode, fast=False)
-    fast, fast_events = _predict(trace, params, cost_model, mode, fast=True)
+    """Every app x engine: kernel and reference predictions are bit-equal."""
+    ref, ref_events = _predict(trace, params, cost_model, mode, oracle=True)
+    fast, fast_events = _predict(trace, params, cost_model, mode, oracle=False)
 
     assert repr(fast.total_us) == repr(ref.total_us)
     assert repr(fast.per_proc_total_us) == repr(ref.per_proc_total_us)
@@ -120,17 +131,17 @@ def test_prediction_bit_identical(trace, params, cost_model, mode):
 def test_emulator_bit_identical(trace, params, cost_model):
     """The emulated machine (jittered network, shared RNG) is untouched."""
 
-    def run(fast):
+    def run(oracle):
         clear_all_caches()
         tracer = Tracer()
-        with fast_path(fast), tracing(tracer):
+        with engine(oracle), tracing(tracer):
             report = MachineEmulator(
                 params=params, cost_model=cost_model, seed=3
             ).run(trace)
         return report, [repr(e) for e in tracer.events]
 
-    ref, ref_events = run(False)
-    fast, fast_events = run(True)
+    ref, ref_events = run(True)
+    fast, fast_events = run(False)
     assert repr(fast.total_us) == repr(ref.total_us)
     assert repr(fast.per_proc_total_us) == repr(ref.per_proc_total_us)
     assert repr(fast.per_proc_comp_us) == repr(ref.per_proc_comp_us)
@@ -141,10 +152,9 @@ def test_emulator_bit_identical(trace, params, cost_model):
 
 def test_ge_point_summary_bit_identical():
     """The full point pipeline (predictions + emulator) round-trips."""
-    with fast_path(False):
+    with reference_engine():
         ref = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
-    with fast_path(True):
-        fast = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
+    fast = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
     assert set(ref) == set(fast)
     for key in ref:
         assert repr(fast[key]) == repr(ref[key]), key
@@ -153,27 +163,25 @@ def test_ge_point_summary_bit_identical():
 class TestSweepDigests:
     GRID = expand_grid([120], [20, 30], ["diagonal", "stripped"], seeds=(0,))
 
-    def _digest(self, fast, workers):
-        with fast_path(fast):
+    def _digest(self, oracle, workers):
+        with engine(oracle):
             return run_sweep(
                 self.GRID, MEIKO_CS2, CM, workers=workers, store=None
             ).digest()
 
     def test_single_worker(self):
-        assert self._digest(True, 1) == self._digest(False, 1)
+        assert self._digest(False, 1) == self._digest(True, 1)
 
     def test_two_workers(self):
-        """The flag travels into spawned workers; results stay bit-equal."""
-        ref = self._digest(False, 1)
-        assert self._digest(True, 2) == ref
-        assert self._digest(False, 2) == ref
+        """Worker processes run the kernel too; results stay bit-equal."""
+        assert self._digest(False, 2) == self._digest(True, 1)
 
 
 class TestUQDigests:
     SPEC = UQSpec(sigma=0.05, op_sigma=0.03, jitter_sigma=0.1)
 
-    def _run(self, fast):
-        with fast_path(fast):
+    def _run(self, oracle):
+        with engine(oracle):
             result = run_uq(
                 [120], [30], ["diagonal"], MEIKO_CS2, CM,
                 spec=self.SPEC, replicates=3,
@@ -182,10 +190,10 @@ class TestUQDigests:
 
     def test_perturbed_ensemble_digests(self):
         """Perturbed replicates (scaled costs, jittered nets) stay bit-equal."""
-        assert self._run(True) == self._run(False)
+        assert self._run(False) == self._run(True)
 
 class TestBatchLanes:
-    """The vectorized batch kernel joins the oracle: every app trace,
+    """The vectorized batch kernel against the oracle: every app trace,
     every lane of a multi-machine batch, bit-equal to the reference."""
 
     MACHINES = [
@@ -212,7 +220,7 @@ class TestBatchLanes:
         for (lane_params, _), seed, reports in zip(lanes, self.SEEDS, batch):
             for mode in GE_MODES:
                 clear_all_caches()
-                with fast_path(False):
+                with reference_engine():
                     ref = ProgramSimulator(
                         lane_params, cost_model, mode=mode, seed=seed
                     ).run(trace)
@@ -226,33 +234,32 @@ class TestBatchLanes:
 
 
 class TestExecutorDigests:
-    """Every executor strategy agrees with the fast-off serial reference."""
+    """Every executor strategy agrees with the oracle's serial reference."""
 
     GRID = expand_grid([120], [20, 30], ["diagonal", "stripped"], seeds=(0,))
 
     def test_all_executors_match_reference(self):
-        with fast_path(False):
+        with reference_engine():
             ref = run_sweep(self.GRID, MEIKO_CS2, CM, workers=1).digest()
         for executor in ("serial", "thread", "process", "auto"):
             clear_all_caches()
-            with fast_path(True):
-                result = run_sweep(
-                    self.GRID, MEIKO_CS2, CM, executor=executor, workers=2
-                )
+            result = run_sweep(
+                self.GRID, MEIKO_CS2, CM, executor=executor, workers=2
+            )
             assert result.digest() == ref, executor
 
     def test_uq_executor_matches_reference(self):
         spec = UQSpec(sigma=0.05, op_sigma=0.03, jitter_sigma=0.1)
 
-        def run(fast, executor):
+        def run(oracle, executor):
             clear_all_caches()
-            with fast_path(fast):
+            with engine(oracle):
                 r = run_uq(
                     [120], [30], ["diagonal"], MEIKO_CS2, CM,
                     spec=spec, replicates=3, executor=executor,
                 )
             return r.replicate_digest(), r.summary_digest()
 
-        ref = run(False, None)
+        ref = run(True, None)
         for executor in ("serial", "auto"):
-            assert run(True, executor) == ref, executor
+            assert run(False, executor) == ref, executor

@@ -11,15 +11,19 @@ process must not see each other's costs.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.core.costmodel import FlopCostModel, TableCostModel
-from repro.kernel import clear_all_caches, fast_path, memoize, send_durations
+from repro.kernel import clear_all_caches, memoize, send_durations
 from repro.kernel.memo import _COST_CACHES, _SEND_TABLES, MemoizedCostModel
 from repro.machine.perturbed import PerturbedMachine, ScaledCostModel
 from repro.trace import TraceBuilder
 from repro.uq import UQSpec
+
+from .oracle import reference_engine
 
 
 class CountingModel:
@@ -161,9 +165,10 @@ def _tiny_trace():
 def test_two_uq_replicates_in_one_process_stay_bit_exact():
     """Replicates sharing a worker process must not cross-contaminate.
 
-    Evaluate replicate A then replicate B with the fast path on (warm
-    caches from each other), and compare each against its own fresh-
-    process-equivalent run (cold caches, fast path off).  A stale hit —
+    Evaluate replicate A then replicate B on the kernel (warm caches
+    from each other), and compare each against its own fresh-process-
+    equivalent run (cold caches, the oracle's unmemoised reference
+    engine).  A stale hit —
     replicate B receiving replicate A's scaled costs — would show up as
     a numeric difference here.
     """
@@ -171,21 +176,21 @@ def test_two_uq_replicates_in_one_process_stay_bit_exact():
     spec = UQSpec(sigma=0.1, op_sigma=0.1)
     machine = PerturbedMachine(MEIKO_CS2, CalibratedCostModel(), spec)
 
-    def run(seed, fast):
+    def run(seed, oracle):
         params, cm = machine.sample(seed)
-        with fast_path(fast):
+        with reference_engine() if oracle else nullcontext():
             report = ProgramSimulator(params, cm, mode="standard", seed=0).run(trace)
         return repr(report.total_us), repr(report.per_proc_comp_us)
 
     cold = {}
     for seed in (1, 2):
         clear_all_caches()
-        cold[seed] = run(seed, fast=False)
+        cold[seed] = run(seed, oracle=True)
 
     clear_all_caches()
-    warm_1 = run(1, fast=True)
-    warm_2 = run(2, fast=True)          # caches warm from replicate 1
-    warm_1_again = run(1, fast=True)    # caches warm from both
+    warm_1 = run(1, oracle=False)
+    warm_2 = run(2, oracle=False)          # caches warm from replicate 1
+    warm_1_again = run(1, oracle=False)    # caches warm from both
 
     assert warm_1 == cold[1]
     assert warm_2 == cold[2]

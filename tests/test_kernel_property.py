@@ -6,8 +6,8 @@ ship" and "programs the simulators accept".  Hypothesis generates small
 random oblivious programs through :class:`repro.trace.TraceBuilder` —
 arbitrary work assignments, arbitrary message patterns (fan-in, fan-out,
 self-messages, idle processors, empty steps) — and every one must
-simulate bit-identically with the fast path on and off, under all three
-engines.
+simulate bit-identically on the kernel and on the test oracle's
+reference engine, under all three engines.
 
 Random programs are much better than the apps at exercising the
 tie-breaking RNG (apps are too regular to tie often) and the worst-case
@@ -16,13 +16,17 @@ algorithm's deadlock-breaking branch.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockops import OP_NAMES
 from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.trace import TraceBuilder
+
+from .oracle import reference_engine
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
@@ -61,9 +65,9 @@ def _build(spec):
     return builder.build()
 
 
-def _run(trace, mode, fast, seed):
+def _run(trace, mode, oracle, seed):
     clear_all_caches()
-    with fast_path(fast):
+    with reference_engine() if oracle else nullcontext():
         report = ProgramSimulator(MEIKO_CS2, CM, mode=mode, seed=seed).run(trace)
     return (
         repr(report.total_us),
@@ -76,12 +80,12 @@ def _run(trace, mode, fast, seed):
 @settings(max_examples=60, deadline=None)
 @given(spec=_program, seed=st.integers(min_value=0, max_value=7))
 def test_random_programs_bit_identical(spec, seed):
-    """Any small program, any engine, any tie-break seed: fast == reference."""
+    """Any small program, any engine, any tie-break seed: kernel == reference."""
     trace = _build(spec)
     for mode in MODES:
-        ref = _run(trace, mode, fast=False, seed=seed)
-        fast = _run(trace, mode, fast=True, seed=seed)
-        assert fast == ref, f"fast/reference divergence in mode {mode!r}"
+        ref = _run(trace, mode, oracle=True, seed=seed)
+        fast = _run(trace, mode, oracle=False, seed=seed)
+        assert fast == ref, f"kernel/reference divergence in mode {mode!r}"
 
 
 @settings(max_examples=20, deadline=None)
@@ -99,4 +103,4 @@ def test_all_to_one_fanin_bit_identical(num_procs, sizes, seed):
     builder.end_step()
     trace = builder.build()
     for mode in MODES:
-        assert _run(trace, mode, True, seed) == _run(trace, mode, False, seed)
+        assert _run(trace, mode, False, seed) == _run(trace, mode, True, seed)

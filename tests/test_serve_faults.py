@@ -23,6 +23,7 @@ import pytest
 from repro.core import MEIKO_CS2, CalibratedCostModel
 from repro.core.loggp import LogGPParameters
 from repro.experiments import ExperimentStore
+from repro.kernel import clear_all_caches
 from repro.serve import PredictionService, ServeConfig
 from repro.serve.protocol import _MACHINE_NAME
 
@@ -53,6 +54,15 @@ class ExplodingCostModel(CalibratedCostModel):
         if b == BOOM_B:
             raise RuntimeError("boom: injected mid-batch crash")
         return super().cost(op, b)
+
+
+@pytest.fixture(autouse=True)
+def _cold_kernel_caches():
+    # The exploding model shares the clean model's fingerprint, so a cost
+    # memoised by an earlier test would answer for it without detonating.
+    clear_all_caches()
+    yield
+    clear_all_caches()
 
 
 def entry_path(store_dir, doc):

@@ -1,15 +1,15 @@
 """Property-based differential testing of the vectorized batch kernel.
 
 The scalar kernel's property suite (``test_kernel_property.py``) pins
-the fast *step* simulators to the seed implementation on random
+the kernel's *step* simulators to the oracle's reference on random
 programs; this suite pins the *batch* layer on top: for random
 programs, random machines, random seeds and random batch widths, every
 lane of :func:`repro.kernel.vector.simulate_programs_batch` must be
 bit-identical to a standalone scalar simulation of that lane — totals,
 per-processor breakdowns, *and* the tie-break RNG stream each lane
 consumed.  The GE-grid twin (:func:`evaluate_ge_points_batch`) is
-pinned against the scalar sweep entrypoints, including the UQ
-replicate path.
+pinned against the scalar sweep entrypoints on the test oracle's
+reference engine, including the UQ replicate path.
 
 The properties target exactly the places a vectorized rewrite can
 drift:
@@ -22,6 +22,8 @@ drift:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from repro.blockops import OP_NAMES
 from repro.core import CalibratedCostModel, MEIKO_CS2, ProgramSimulator
 from repro.core.loggp import LogGPParameters
 from repro.core.predictor import summarize_ge_point, summarize_uq_point
-from repro.kernel import clear_all_caches, fast_path
+from repro.kernel import clear_all_caches
 from repro.kernel.vector import (
     compile_plan,
     evaluate_ge_points_batch,
@@ -39,6 +41,8 @@ from repro.kernel.vector import (
 from repro.sweep import SweepPoint
 from repro.trace import TraceBuilder
 from repro.uq import UQSpec
+
+from .oracle import reference_engine
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase")
@@ -100,14 +104,14 @@ def _report_key(report):
     )
 
 
-def _scalar(trace, params, mode, seed, fast, rng=None):
+def _scalar(trace, params, mode, seed, oracle=False, rng=None):
     clear_all_caches()
-    with fast_path(fast):
+    with reference_engine() if oracle else nullcontext():
         sim = ProgramSimulator(params, CM, mode=mode, seed=seed, rng=rng)
         return sim.run(trace)
 
 
-# -- batch vs scalar kernel vs seed simulator --------------------------------
+# -- batch vs scalar kernel vs the oracle's reference engine ------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,7 +121,7 @@ def _scalar(trace, params, mode, seed, fast, rng=None):
     seeds=st.lists(st.integers(min_value=0, max_value=7), min_size=4, max_size=4),
 )
 def test_batch_lanes_bit_identical_to_scalar_and_seed(spec, machines, seeds):
-    """Every lane of any batch == the scalar kernel == the seed simulator."""
+    """Every lane of any batch == the scalar kernel == the reference engine."""
     trace = _build(spec)
     plan = compile_plan(trace)
     lanes = [(_params(m, trace.num_procs), CM) for m in machines]
@@ -130,11 +134,11 @@ def test_batch_lanes_bit_identical_to_scalar_and_seed(spec, machines, seeds):
         for mode in MODES:
             got = _report_key(reports[mode])
             assert got == _report_key(
-                _scalar(trace, params, mode, seed, fast=True)
+                _scalar(trace, params, mode, seed)
             ), f"batch != scalar kernel ({mode})"
             assert got == _report_key(
-                _scalar(trace, params, mode, seed, fast=False)
-            ), f"batch != seed simulator ({mode})"
+                _scalar(trace, params, mode, seed, oracle=True)
+            ), f"batch != reference engine ({mode})"
 
 
 @settings(max_examples=25, deadline=None)
@@ -198,7 +202,7 @@ def test_lane_rng_streams_match_scalar_runs(num_procs, sizes, seeds):
     for seed, reports, rngs in zip(seeds, batch, batch_rngs):
         for mode in MODES:
             scalar_rng = np.random.default_rng(seed)
-            report = _scalar(trace, MEIKO_CS2, mode, seed, fast=True, rng=scalar_rng)
+            report = _scalar(trace, MEIKO_CS2, mode, seed, rng=scalar_rng)
             assert _report_key(reports[mode]) == _report_key(report)
             assert rngs[mode].bit_generator.state == scalar_rng.bit_generator.state, (
                 f"lane RNG stream diverged from scalar run ({mode})"
@@ -228,11 +232,10 @@ def test_ge_batch_matches_scalar_sweep_entrypoint(configs):
         for (n, b), layout, seed in configs
     ]
     clear_all_caches()
-    with fast_path(True):
-        batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
+    batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
     for point, got in zip(points, batch):
         clear_all_caches()
-        with fast_path(True):
+        with reference_engine():
             expect = summarize_ge_point(
                 point.n, point.b, point.layout, MEIKO_CS2, CM,
                 with_measured=False, seed=point.seed,
@@ -259,11 +262,10 @@ def test_ge_batch_matches_uq_replicates(config, layout, seeds, sigma):
         for seed in seeds
     ]
     clear_all_caches()
-    with fast_path(True):
-        batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM, uq=spec)
+    batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM, uq=spec)
     for point, got in zip(points, batch):
         clear_all_caches()
-        with fast_path(True):
+        with reference_engine():
             expect = summarize_uq_point(
                 point.n, point.b, point.layout, MEIKO_CS2, CM, spec,
                 with_measured=False, seed=point.seed,
@@ -280,11 +282,10 @@ def test_ge_batch_with_measured_matches_scalar():
         for s in (0, 1)
     ]
     clear_all_caches()
-    with fast_path(True):
-        batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
+    batch = evaluate_ge_points_batch(points, MEIKO_CS2, CM)
     for point, got in zip(points, batch):
         clear_all_caches()
-        with fast_path(True):
+        with reference_engine():
             expect = summarize_ge_point(
                 point.n, point.b, point.layout, MEIKO_CS2, CM,
                 with_measured=True, seed=point.seed,
