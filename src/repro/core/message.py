@@ -191,6 +191,19 @@ class CommPattern:
                 raise ValueError(f"program order of P{src} is not strictly increasing")
 
     # -- misc -------------------------------------------------------------------
+    def copy(self) -> "CommPattern":
+        """An independent pattern holding the same (frozen) messages.
+
+        Messages added to the copy continue its uid and per-sender
+        sequence counters exactly as they would on the original.
+        """
+        out = CommPattern(self.num_procs)
+        out._messages = list(self._messages)
+        out._uid = itertools.count(len(self._messages))
+        out._per_src_seq = dict(self._per_src_seq)
+        out._remote, out._local = self._remote, self._local
+        return out
+
     def scaled(self, factor: float) -> "CommPattern":
         """Copy with every message size scaled (min 1 byte)."""
         if factor <= 0:

@@ -108,6 +108,19 @@ class ProgramTrace:
             )
         self.steps.append(step)
 
+    def copy(self) -> "ProgramTrace":
+        """An independent trace: fresh steps, work lists, patterns and meta
+        around the same (frozen) :class:`Work` and message objects."""
+        steps = [
+            Step(
+                work={proc: list(ops) for proc, ops in step.work.items()},
+                pattern=None if step.pattern is None else step.pattern.copy(),
+                label=step.label,
+            )
+            for step in self.steps
+        ]
+        return ProgramTrace(num_procs=self.num_procs, steps=steps, meta=dict(self.meta))
+
     # -- aggregate queries -------------------------------------------------------
     def total_ops(self) -> int:
         """Basic-op invocations over the whole program."""

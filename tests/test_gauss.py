@@ -113,6 +113,25 @@ class TestTraceStructure:
         trace = build_ge_trace(config())
         trace.validate()
 
+    def test_rebuild_is_equal_and_independent(self):
+        def shape(trace):
+            return [
+                (s.label, {p: list(ops) for p, ops in s.work.items()}, s.pattern.messages)
+                for s in trace.steps
+            ]
+
+        first = build_ge_trace(config())
+        reference = shape(first)
+        first.meta["n"] = -1
+        first.steps[0].work.clear()
+        first.steps[1].pattern.add(0, 1, 8)
+        first.steps.pop()
+        again = build_ge_trace(config())  # a rebuild of the same configuration
+        assert shape(again) == reference
+        assert again.meta["n"] == 96
+        other = build_ge_trace(config(layout_cls=RowStrippedCyclicLayout))
+        assert shape(other) != reference
+
     def test_stripped_layout_has_more_local_messages(self):
         """Row transfers are free under row-stripped cyclic (paper §6.2)."""
         n, b, P = 96, 12, 8

@@ -105,6 +105,14 @@ class TestCommPatternQueries:
         tiny = pat.scaled(0.0001)
         assert all(m.size == 1 for m in tiny)
 
+    def test_copy_is_independent_and_continues_counters(self, pat):
+        twin = pat.copy()
+        assert twin.messages == pat.messages
+        grown = twin.add(0, 3, 50)
+        expected = CommPattern(4, edges=[(0, 1, 10), (0, 2, 20), (1, 1, 30), (2, 0, 40)])
+        assert grown == expected.add(0, 3, 50)  # same uid and program-order seq
+        assert len(pat) == 4 and len(twin.remote_messages()) == 4
+
     def test_scaled_zero_rejected(self, pat):
         with pytest.raises(ValueError):
             pat.scaled(0)
