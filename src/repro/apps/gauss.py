@@ -170,7 +170,7 @@ def _wavefront_trace(b: int, num_procs: int, owner) -> ProgramTrace:
     last_t = 3 * (nb - 1)
     for t in range(last_t + 1):
         work: dict[int, list[Work]] = {}
-        pattern = CommPattern(num_procs)
+        edges: list[tuple[int, int, int]] = []  # (src, dst, bytes) in send order
         # iterations whose wave is alive at step t
         k_hi = min(t // 3, nb - 1)
         for k in range(k_hi + 1):
@@ -191,24 +191,25 @@ def _wavefront_trace(b: int, num_procs: int, owner) -> ProgramTrace:
                 # outgoing data (systolic forwarding)
                 if op == "op1":
                     if j + 1 < nb:
-                        pattern.add(me, owner[i][j + 1], factor_bytes)
+                        edges.append((me, owner[i][j + 1], factor_bytes))
                     if i + 1 < nb:
-                        pattern.add(me, owner[i + 1][j], factor_bytes)
+                        edges.append((me, owner[i + 1][j], factor_bytes))
                 elif op == "op2":
                     if j + 1 < nb:
-                        pattern.add(me, owner[i][j + 1], factor_bytes)
+                        edges.append((me, owner[i][j + 1], factor_bytes))
                     if i + 1 < nb:
-                        pattern.add(me, owner[i + 1][j], block_bytes)
+                        edges.append((me, owner[i + 1][j], block_bytes))
                 elif op == "op3":
                     if i + 1 < nb:
-                        pattern.add(me, owner[i + 1][j], factor_bytes)
+                        edges.append((me, owner[i + 1][j], factor_bytes))
                     if j + 1 < nb:
-                        pattern.add(me, owner[i][j + 1], block_bytes)
+                        edges.append((me, owner[i][j + 1], block_bytes))
                 else:  # op4 forwards both streams
                     if j + 1 < nb:
-                        pattern.add(me, owner[i][j + 1], block_bytes)
+                        edges.append((me, owner[i][j + 1], block_bytes))
                     if i + 1 < nb:
-                        pattern.add(me, owner[i + 1][j], block_bytes)
+                        edges.append((me, owner[i + 1][j], block_bytes))
+        pattern = CommPattern(num_procs, edges)  # one bulk, validated-once build
         trace.add_step(Step(work=work, pattern=pattern, label=f"t={t}"))
     return trace
 

@@ -42,6 +42,7 @@ def simulate_causal(
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     latency_of=None,
+    record: bool = True,
 ) -> SimulationResult:
     """Simulate one communication step with the causal active-message model.
 
@@ -52,9 +53,13 @@ def simulate_causal(
 
     ``latency_of(message) -> us`` overrides the wire latency per message
     (the machine emulator's jittered network); default is ``params.L``.
+
+    ``record=False`` is for callers that read only the clocks: no
+    :class:`~repro.core.events.CommEvent` is built, so the returned
+    timeline is empty unless the ambient tracer is enabled.
     """
     del rng, seed  # deterministic; kept for API symmetry
     # imported on first use, so `import repro` does not load the kernel
     from ..kernel.fastdes import simulate_causal_fast
 
-    return simulate_causal_fast(params, pattern, start_times, latency_of)
+    return simulate_causal_fast(params, pattern, start_times, latency_of, record)

@@ -13,7 +13,6 @@ them a local-copy cost instead.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -50,6 +49,28 @@ class Message:
         return f"msg#{self.uid} P{self.src}->P{self.dst} ({self.size}B)"
 
 
+_new_message = object.__new__
+_set_src, _set_dst, _set_size, _set_uid, _set_seq = (
+    Message.__dict__[name].__set__ for name in ("src", "dst", "size", "uid", "seq")
+)
+
+
+def _checked_message(src: int, dst: int, size: int, uid: int, seq: int) -> Message:
+    """A :class:`Message` whose fields the caller has already validated.
+
+    Sets the slots directly: the frozen dataclass ``__init__`` pays a
+    generic ``object.__setattr__`` per field plus ``__post_init__``, about
+    twice the cost, and a GE trace builds ~10^5 messages.
+    """
+    msg = _new_message(Message)
+    _set_src(msg, src)
+    _set_dst(msg, dst)
+    _set_size(msg, size)
+    _set_uid(msg, uid)
+    _set_seq(msg, seq)
+    return msg
+
+
 class CommPattern:
     """An ordered collection of messages forming one communication step.
 
@@ -73,34 +94,53 @@ class CommPattern:
         if num_procs < 1:
             raise ValueError("num_procs must be >= 1")
         self.num_procs = num_procs
+        # append-only: a message's uid is its insertion index
         self._messages: list[Message] = []
-        self._uid = itertools.count()
         self._per_src_seq: dict[int, int] = {}
         # cached remote/local views (hot in the simulators; invalidated by add)
         self._remote: Optional[tuple[Message, ...]] = None
         self._local: Optional[tuple[Message, ...]] = None
         if edges is not None:
-            for edge in edges:
-                if len(edge) == 2:
-                    self.add(edge[0], edge[1], default_size)
-                elif len(edge) == 3:
-                    self.add(edge[0], edge[1], edge[2])
-                else:
-                    raise ValueError(f"edge must be (src, dst[, size]), got {edge!r}")
+            self._extend(edges, default_size)
 
     # -- construction ---------------------------------------------------------
     def add(self, src: int, dst: int, size: int = 1) -> Message:
         """Append a message; returns the :class:`Message` created."""
-        if not (0 <= src < self.num_procs):
-            raise ValueError(f"src {src} out of range 0..{self.num_procs - 1}")
-        if not (0 <= dst < self.num_procs):
-            raise ValueError(f"dst {dst} out of range 0..{self.num_procs - 1}")
-        seq = self._per_src_seq.get(src, 0)
-        msg = Message(src=src, dst=dst, size=size, uid=next(self._uid), seq=seq)
-        self._per_src_seq[src] = seq + 1
-        self._messages.append(msg)
+        self._extend(((src, dst, size),))
+        return self._messages[-1]
+
+    def _extend(self, edges: Iterable[tuple], default_size: int = 1) -> None:
+        """Append one message per edge, checking each edge exactly once.
+
+        The bulk path of the constructor (and of :meth:`add`): the checks
+        are :class:`Message`'s and the range checks, in the same order
+        with the same errors, so the messages are built without running
+        them a second time.
+        """
+        num_procs = self.num_procs
+        messages = self._messages
+        append = messages.append
+        per_src_seq = self._per_src_seq
+        uid = len(messages)
         self._remote = self._local = None
-        return msg
+        for edge in edges:
+            if len(edge) == 3:
+                src, dst, size = edge
+            elif len(edge) == 2:
+                src, dst = edge
+                size = default_size
+            else:
+                raise ValueError(f"edge must be (src, dst[, size]), got {edge!r}")
+            if not (0 <= src < num_procs):
+                raise ValueError(f"src {src} out of range 0..{num_procs - 1}")
+            if not (0 <= dst < num_procs):
+                raise ValueError(f"dst {dst} out of range 0..{num_procs - 1}")
+            if size < 1:
+                raise ValueError(f"message size must be >= 1 byte, got {size}")
+            seq = per_src_seq.get(src, 0)
+            per_src_seq[src] = seq + 1
+            append(_checked_message(src, dst, size, uid, seq))
+            uid += 1
 
     # -- views ----------------------------------------------------------------
     @property
@@ -122,7 +162,7 @@ class CommPattern:
         remote = self._remote
         if remote is None:
             remote = self._remote = tuple(
-                m for m in self._messages if not m.is_local
+                m for m in self._messages if m.src != m.dst
             )
         return remote
 
@@ -130,7 +170,9 @@ class CommPattern:
         """Self-messages (local copies in real execution)."""
         local = self._local
         if local is None:
-            local = self._local = tuple(m for m in self._messages if m.is_local)
+            local = self._local = tuple(
+                m for m in self._messages if m.src == m.dst
+            )
         return local
 
     def sends_of(self, proc: int) -> tuple[Message, ...]:
@@ -199,7 +241,6 @@ class CommPattern:
         """
         out = CommPattern(self.num_procs)
         out._messages = list(self._messages)
-        out._uid = itertools.count(len(self._messages))
         out._per_src_seq = dict(self._per_src_seq)
         out._remote, out._local = self._remote, self._local
         return out
@@ -208,10 +249,10 @@ class CommPattern:
         """Copy with every message size scaled (min 1 byte)."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        out = CommPattern(self.num_procs)
-        for m in self._messages:
-            out.add(m.src, m.dst, max(1, round(m.size * factor)))
-        return out
+        return CommPattern(
+            self.num_procs,
+            [(m.src, m.dst, max(1, round(m.size * factor))) for m in self._messages],
+        )
 
     @classmethod
     def from_adjacency(
@@ -222,11 +263,10 @@ class CommPattern:
         Sources are interleaved in ascending id order, which only matters
         for global insertion order — per-sender program order is preserved.
         """
-        out = cls(num_procs)
-        for src in sorted(sends):
-            for dst, size in sends[src]:
-                out.add(src, dst, size)
-        return out
+        return cls(
+            num_procs,
+            [(src, dst, size) for src in sorted(sends) for dst, size in sends[src]],
+        )
 
     def __repr__(self) -> str:
         return (

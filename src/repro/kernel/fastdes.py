@@ -38,17 +38,37 @@ Stale wakeups are real in the reference (a message landing between an
 resolves into nothing); per-processor wait generation counters replicate
 them as explicit no-op pops.
 
+Fused push/pop: every handler, and the decision pass that ends most of
+them, schedules its *last* entry after everything else it does.  That
+entry is not pushed; it is handed back to the loop, which pushes it and
+pops the next entry in one ``heapq.heappushpop`` call — by definition
+push-then-pop, so it returns the minimum over the heap *and* the new
+entry, exactly what a separate push and pop would.  Entries compare on
+``(when, seq)`` and ``seq`` is unique, so the pop order is a total order
+that does not depend on the heap's internal layout, and the sequence
+numbers are still taken at the reference's schedule moments (the entry
+is built, with its ``seq``, where the push used to be).  Only a send
+completion schedules twice: its ``INIT_DELIVER`` is pushed at once and
+the decision's entry rides the fused call.
+
+Event sink: ``record=False`` builds no :class:`CommEvent` — the caller
+reads only the clocks (the machine emulator).  The schedule, the clocks
+and the latency draws are the same either way, and an enabled tracer
+still gets its events, because it exports them.
+
 Float discipline: a reference ``Timeout(delta)`` schedules at
 ``now + delta`` where ``delta = target - now`` — which can differ from
 ``target`` in the last ulp.  Slab entries therefore carry the *target*
 values (``recv_start``, ``last_end``) alongside the reference-exact heap
 ``when``, exactly as the coroutine keeps them in locals across the wait.
+``max(a, b)`` is written ``b if b > a else a``: the same value, the
+first maximal argument, without the call.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Mapping, Optional
 
 from ..core.events import CommEvent, StepTimeline
@@ -86,10 +106,17 @@ def simulate_causal_fast(
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]] = None,
     latency_of=None,
+    record: bool = True,
 ) -> SimulationResult:
-    """Flat-heap replay of the reference causal model; see module docstring."""
+    """Flat-heap replay of the reference causal model; see module docstring.
+
+    ``record=False`` leaves the returned timeline without events unless
+    the ambient tracer is enabled; clocks are identical either way.
+    """
     if latency_of is None:
         latency_of = lambda _msg: params.L  # noqa: E731 - mirrors reference
+    tracer = get_tracer()
+    record = record or tracer.enabled
     starts = dict(start_times or {})
     remote = pattern.remote_messages()
     local = pattern.local_messages()
@@ -126,92 +153,92 @@ def simulate_causal_fast(
         params=params,
         start_times={p: last_end[i] for i, p in enumerate(procs)},
     )
-    events = timeline.events
-    events_append = events.append
+    events_append = timeline.events.append
 
     # One INIT_PROC per processor at t=0, seqs 0..P-1 — already heap-ordered.
     heap: list[tuple] = [(0.0, i, _INIT_PROC, i) for i in range(n_procs)]
     seq = n_procs
 
-    def decide(pid: int, now: float) -> None:
+    def decide(pid: int, now: float) -> Optional[tuple]:
         """One pass of the processor loop: loop-top to the next yield.
 
         ``pid`` is the processor's rank in ``procs``.  Every branch of
         the reference coroutine body ends in a yield (or terminates), so
-        one resume runs exactly one decision.
+        one resume runs exactly one decision.  Returns the one entry the
+        pass schedules (for the caller's fused push/pop), or ``None``.
         """
         nonlocal seq
         sq = sends[pid]
         if not sq and received[pid] >= expected[pid]:
             seq += 1  # Process completion event: pure no-op pop, skip push
-            return
+            return None
         lk = last_kind[pid]
         le = last_end[pid]
         if sq:
             es = le if lk is None else (le + rs_gap if lk is _RECV else le + g)
-            send_start = max(now, es)
+            send_start = es if es > now else now
         else:
             send_start = _INF
         arr = arrived[pid]
         if arr:
             es = le if lk is None else le + g
-            recv_start = max(now, arr[0][0], es)
+            head = arr[0][0]
+            recv_start = head if head > now else now
+            if es > recv_start:
+                recv_start = es
         else:
             recv_start = _INF
 
         if arr and recv_start <= send_start:
             arrival, _, msg = heappop(arr)
             if recv_start > now:
-                heappush(
-                    heap,
-                    (
-                        now + (recv_start - now),
-                        seq,
-                        _RECV_START,
-                        pid,
-                        recv_start,
-                        arrival,
-                        msg,
-                    ),
+                entry = (
+                    now + (recv_start - now),
+                    seq,
+                    _RECV_START,
+                    pid,
+                    recv_start,
+                    arrival,
+                    msg,
                 )
-                seq += 1
             else:
-                events_append(
-                    CommEvent(procs[pid], _RECV, recv_start, o, msg, arrival=arrival)
-                )
-                heappush(heap, (now + o, seq, _RECV_END, pid, recv_start + o))
-                seq += 1
-        elif sq:
+                if record:
+                    events_append(CommEvent(
+                        procs[pid], _RECV, recv_start, o, msg, arrival=arrival
+                    ))
+                entry = (now + o, seq, _RECV_END, pid, recv_start + o)
+            seq += 1
+            return entry
+        if sq:
             if send_start > now:
                 gen = wait_gen[pid] = wait_gen[pid] + 1
                 wait_state[pid] = _ANYOF
                 anyof_fired[pid] = False
                 wakeup_live[pid] = True
-                heappush(
-                    heap, (now + (send_start - now), seq, _SENDSLOT, pid, gen)
-                )
-                seq += 1
+                entry = (now + (send_start - now), seq, _SENDSLOT, pid, gen)
             else:
                 msg = sq.popleft()
                 size = msg.size
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
-                events_append(
-                    CommEvent(procs[pid], _SEND, send_start, duration, msg)
+                if record:
+                    events_append(
+                        CommEvent(procs[pid], _SEND, send_start, duration, msg)
+                    )
+                entry = (
+                    now + duration, seq, _SEND_END, pid, send_start + duration, msg
                 )
-                heappush(
-                    heap,
-                    (now + duration, seq, _SEND_END, pid, send_start + duration, msg),
-                )
-                seq += 1
-        else:
-            wait_gen[pid] += 1
-            wait_state[pid] = _PLAIN
-            wakeup_live[pid] = True
+            seq += 1
+            return entry
+        wait_gen[pid] += 1
+        wait_state[pid] = _PLAIN
+        wakeup_live[pid] = True
+        return None
 
-    while heap:
-        item = heappop(heap)
+    pending = None  # the entry the last handler scheduled, not yet pushed
+    while heap or pending is not None:
+        item = heappop(heap) if pending is None else heappushpop(heap, pending)
         t = item[0]
         kind = item[2]
         if kind == _RECV_END:
@@ -219,7 +246,7 @@ def simulate_causal_fast(
             last_kind[pid] = _RECV
             last_end[pid] = item[4]
             received[pid] += 1
-            decide(pid, t)
+            pending = decide(pid, t)
         elif kind == _SEND_END:
             pid = item[3]
             msg = item[5]
@@ -231,37 +258,41 @@ def simulate_causal_fast(
             wire = latency_of(msg)
             heappush(heap, (t, seq, _INIT_DELIVER, rank_of[msg.dst], wire, msg))
             seq += 1
-            decide(pid, t)
+            pending = decide(pid, t)
         elif kind == _DELIVER:
             dst = item[3]
             msg = item[4]
             heappush(arrived[dst], (t, msg.uid, msg))
             if wakeup_live[dst]:
                 wakeup_live[dst] = False
-                heappush(heap, (t, seq, _WAKEUP, dst, wait_gen[dst]))
+                pending = (t, seq, _WAKEUP, dst, wait_gen[dst])
                 seq += 1
+            else:
+                pending = None
             seq += 1  # delivery Process completion: no-op pop, skip push
         elif kind == _INIT_DELIVER:
-            heappush(heap, (t + item[4], seq, _DELIVER, item[3], item[5]))
+            pending = (t + item[4], seq, _DELIVER, item[3], item[5])
             seq += 1
         elif kind == _RECV_START:
             pid = item[3]
             recv_start = item[4]
-            events_append(
-                CommEvent(procs[pid], _RECV, recv_start, o, item[6], arrival=item[5])
-            )
-            heappush(heap, (t + o, seq, _RECV_END, pid, recv_start + o))
+            if record:
+                events_append(CommEvent(
+                    procs[pid], _RECV, recv_start, o, item[6], arrival=item[5]
+                ))
+            pending = (t + o, seq, _RECV_END, pid, recv_start + o)
             seq += 1
         elif kind == _WAKEUP:
             pid = item[3]
+            pending = None
             if item[4] == wait_gen[pid]:
                 ws = wait_state[pid]
                 if ws == _PLAIN:
                     wait_state[pid] = _NO_WAIT
-                    decide(pid, t)
+                    pending = decide(pid, t)
                 elif ws == _ANYOF and not anyof_fired[pid]:
                     anyof_fired[pid] = True
-                    heappush(heap, (t, seq, _ANYOF_FIRE, pid))
+                    pending = (t, seq, _ANYOF_FIRE, pid)
                     seq += 1
             # else: stale wakeup — the reference pops it into a no-op too
         elif kind == _SENDSLOT:
@@ -272,19 +303,19 @@ def simulate_causal_fast(
                 and not anyof_fired[pid]
             ):
                 anyof_fired[pid] = True
-                heappush(heap, (t, seq, _ANYOF_FIRE, pid))
+                pending = (t, seq, _ANYOF_FIRE, pid)
                 seq += 1
-            # else: the AnyOf already fired via a wakeup — no-op pop
+            else:  # the AnyOf already fired via a wakeup — no-op pop
+                pending = None
         elif kind == _ANYOF_FIRE:
             pid = item[3]
             wait_state[pid] = _NO_WAIT
             wakeup_live[pid] = False  # resume clears st.wakeup
-            decide(pid, t)
+            pending = decide(pid, t)
         else:  # _INIT_PROC
-            decide(item[3], t)
+            pending = decide(item[3], t)
 
     ctimes = {p: last_end[i] for i, p in enumerate(procs)}
-    tracer = get_tracer()
     if tracer.enabled:
         # Every reference schedule maps to one consumed seq, so the final
         # counter equals the engine's processed-event total.

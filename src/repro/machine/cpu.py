@@ -113,11 +113,8 @@ class NodeCPU:
         self.scan_us_per_block = scan_us_per_block
         self.noise_sigma = noise_sigma
         self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def _noise(self) -> float:
-        if self.noise_sigma == 0.0:
-            return 1.0
-        return float(np.exp(self.rng.normal(0.0, self.noise_sigma)))
+        # (op, b) -> cacheability factor; a pure function of the operand sizes
+        self._cacheable: dict[tuple[str, int], float] = {}
 
     def run_phase(self, ops: Sequence[Work]) -> CompPhaseResult:
         """Execute one computation phase; returns its timing breakdown.
@@ -128,19 +125,41 @@ class NodeCPU:
         cache state, and that streaming cost is already inside the warm
         (Figure 6) cost — the paper's cache distortion is specifically a
         small-block effect ("many non-adjacent small blocks", §6.3).
+
+        The phase's noise factors come from one vector draw, which yields
+        the same values and leaves the generator in the same state as one
+        scalar draw per op.
         """
+        if self.noise_sigma:
+            # keep np.exp: math.exp differs from it in the last ulp on
+            # some draws, which would change every noisy measurement
+            noise = np.exp(
+                self.rng.normal(0.0, self.noise_sigma, size=len(ops))
+            ).tolist()
+        else:
+            noise = [1.0] * len(ops)
+        cost = self.cost_model.cost
         warm = 0.0
+        for w, factor in zip(ops, noise):
+            warm += cost(w.op, w.b) * factor
         cache_extra = 0.0
-        for w in ops:
-            warm += self.cost_model.cost(w.op, w.b) * self._noise()
-            if self.cache is not None:
+        if self.cache is not None:
+            touch = self.cache.touch
+            line_bytes = self.line_bytes
+            miss_penalty_us = self.miss_penalty_us
+            cacheable_of = self._cacheable
+            for w in ops:
                 touched = touched_blocks(w)
-                footprint = sum(nbytes for _, nbytes in touched)
-                cacheable = max(0.0, 1.0 - footprint / self.cache.capacity_bytes)
+                cacheable = cacheable_of.get((w.op, w.b))
+                if cacheable is None:
+                    footprint = sum(nbytes for _, nbytes in touched)
+                    cacheable = cacheable_of[w.op, w.b] = max(
+                        0.0, 1.0 - footprint / self.cache.capacity_bytes
+                    )
                 for key, nbytes in touched:
-                    if not self.cache.touch(key, nbytes) and cacheable > 0.0:
+                    if not touch(key, nbytes) and cacheable > 0.0:
                         cache_extra += (
-                            (nbytes / self.line_bytes) * self.miss_penalty_us * cacheable
+                            (nbytes / line_bytes) * miss_penalty_us * cacheable
                         )
         scan = self.scan_us_per_block * self.assigned_blocks if ops else 0.0
         return CompPhaseResult(

@@ -231,6 +231,7 @@ class MachineEmulator:
                     step.pattern,
                     start_times=starts,
                     latency_of=self.network.latency_of,
+                    record=False,  # only the clocks are read here
                 )
                 for p in participants:
                     clocks[p] = result.ctimes.get(p, clocks[p])

@@ -60,6 +60,10 @@ from .protocol import SCHEMA, PredictRequest, ProtocolError, point_digest
 
 __all__ = ["ServeConfig", "PredictionService", "make_handler", "serve_http"]
 
+#: the largest request body the HTTP front-end reads; a predict doc is
+#: a few hundred bytes, so anything longer is refused unread
+MAX_BODY_BYTES = 64 * 1024
+
 
 @dataclass
 class ServeConfig:
@@ -586,11 +590,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
 
-    def _reply(self, code: int, doc: dict) -> None:
+    def _reply(self, code: int, doc: dict, close: bool = False) -> None:
         body = json.dumps(doc).encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -608,8 +614,26 @@ class _ServeHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            length = 0
-        raw = self.rfile.read(length) if length > 0 else b""
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # refuse before reading; the unread body makes the connection
+            # unusable, so the reply closes it
+            code = 413 if length > MAX_BODY_BYTES else 400
+            self._reply(
+                code,
+                {
+                    "schema": SCHEMA,
+                    "status": "error",
+                    "code": code,
+                    "error": (
+                        f"Content-Length {self.headers.get('Content-Length')!r} "
+                        f"is not in 0..{MAX_BODY_BYTES}"
+                    ),
+                },
+                close=True,
+            )
+            return
+        raw = self.rfile.read(length) if length else b""
         if self.path != "/v1/predict":
             self._reply(
                 404,

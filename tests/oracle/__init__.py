@@ -2,15 +2,17 @@
 
 ``repro`` runs one engine, the kernel (:mod:`repro.kernel`).  This
 package keeps the straightforward transcriptions it replaced — the
-paper's step algorithms (:mod:`.stepsim`) and the coroutine-per-processor
-causal DES (:mod:`.causal`) — so the differential suites can compare
-production against an independent implementation, bit for bit.
+paper's step algorithms (:mod:`.stepsim`), the coroutine-per-processor
+causal DES (:mod:`.causal`) and the op-by-op node CPU (:mod:`.cpu`) —
+so the differential suites can compare production against an
+independent implementation, bit for bit.
 
 :func:`reference_engine` runs the production pipeline with the oracle in
 place of the kernel: the program simulator and the emulator price
 communication with the oracle's step simulators (an untraced program
 run, too: the kernel's event-free step simulators are withdrawn) and
-never memoise cost models, and a GE point builds a fresh trace and runs both predictions
+never memoise cost models, the emulator's nodes draw their noise one op
+at a time, and a GE point builds a fresh trace and runs both predictions
 and the emulator one by one.  Sweeps and UQ runs evaluated in-process
 (``workers=1`` without an executor) therefore produce the reference
 digests.  Nothing under ``src/`` imports this package.
@@ -27,14 +29,17 @@ from repro.core import predictor, program_sim
 from repro.kernel import fastsim, vector
 from repro.layouts import LAYOUTS
 from repro.machine import emulator as emulator_mod
+from repro.machine.cpu import NodeCPU
 
 from .causal import simulate_causal
+from .cpu import reference_run_phase
 from .stepsim import simulate_standard, simulate_worstcase
 
 __all__ = [
     "simulate_standard",
     "simulate_worstcase",
     "simulate_causal",
+    "reference_run_phase",
     "reference_engine",
     "reference_ge_row",
 ]
@@ -105,6 +110,9 @@ def reference_engine() -> Iterator[None]:
             mock.patch.object(emulator_mod, "simulate_causal", simulate_causal)
         )
         stack.enter_context(mock.patch.object(emulator_mod, "memoize", _unmemoized))
+        stack.enter_context(
+            mock.patch.object(NodeCPU, "run_phase", reference_run_phase)
+        )
         stack.enter_context(
             mock.patch.object(predictor, "run_ge_point", reference_ge_row)
         )

@@ -47,6 +47,7 @@ def simulate_causal(
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     latency_of=None,
+    record: bool = True,
 ) -> SimulationResult:
     """Simulate one communication step with the causal active-message model.
 
@@ -57,8 +58,12 @@ def simulate_causal(
 
     ``latency_of(message) -> us`` overrides the wire latency per message
     (the machine emulator's jittered network); default is ``params.L``.
+
+    ``record`` is accepted and ignored: the reference always builds the
+    full event stream, so production's event-free runs are compared
+    against complete ones.
     """
-    del rng, seed  # deterministic; kept for API symmetry
+    del rng, seed, record  # deterministic, always recording; API symmetry
     if latency_of is None:
         latency_of = lambda _msg: params.L  # noqa: E731 - tiny closure
     starts = dict(start_times or {})

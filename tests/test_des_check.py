@@ -10,6 +10,7 @@ from repro.core import (
     simulate_causal,
     simulate_standard,
 )
+from repro.obs import Tracer, tracing
 
 PARAMS = LogGPParameters(L=10.0, o=2.0, g=5.0, G=0.5, P=8)
 
@@ -96,3 +97,26 @@ class TestJitteredLatency:
         assert recvs[1].arrival - recvs[0].arrival == pytest.approx(
             (7.0 + 2.0 + 100.0) - (0.0 + 2.0 + 10.0)
         )
+
+
+class TestEventSink:
+    """``record=False`` drops the event stream and nothing else."""
+
+    def _pattern(self):
+        return random_pattern(8, 40, seed=5)
+
+    def test_clocks_without_events(self):
+        full = simulate_causal(MEIKO_CS2, self._pattern())
+        lean = simulate_causal(MEIKO_CS2, self._pattern(), record=False)
+        assert full.timeline.events
+        assert lean.timeline.events == []
+        assert repr(lean.ctimes) == repr(full.ctimes)
+
+    def test_enabled_tracer_still_gets_events(self):
+        streams = []
+        for record in (True, False):
+            tracer = Tracer()
+            with tracing(tracer):
+                result = simulate_causal(MEIKO_CS2, self._pattern(), record=record)
+            streams.append(([repr(e) for e in tracer.events], result.timeline.events))
+        assert streams[0][0] and streams[0] == streams[1]

@@ -42,6 +42,7 @@ from repro.core import MEIKO_CS2, CalibratedCostModel, ProgramSimulator
 from repro.core.predictor import summarize_ge_point
 from repro.kernel import clear_all_caches
 from repro.layouts import DiagonalLayout, RowStrippedCyclicLayout
+from repro.machine import JitteredNetwork
 from repro.machine.emulator import MachineEmulator
 from repro.obs import Tracer, tracing
 from repro.sweep import expand_grid, run_sweep
@@ -148,6 +149,46 @@ def test_emulator_bit_identical(trace, params, cost_model):
     assert repr(fast.per_proc_cache_us) == repr(ref.per_proc_cache_us)
     assert repr(fast.per_proc_local_us) == repr(ref.per_proc_local_us)
     assert fast_events == ref_events
+
+
+@pytest.mark.parametrize(
+    "traced,network",
+    [(False, "jittered"), (False, "jitter-free"), (True, "jitter-free")],
+    ids=["untraced-jittered", "untraced-jitter-free", "traced-jitter-free"],
+)
+@pytest.mark.parametrize(
+    "trace,params,cost_model",
+    [c[1:] for c in TRACE_CASES],
+    ids=TRACE_IDS,
+)
+def test_emulator_network_bit_identical(trace, params, cost_model, traced, network):
+    """The untraced path sweeps take (no events built), and a jitter-free
+    network, whose equal-time events exercise both outcomes of the
+    kernel's fused push/pop."""
+
+    def run(oracle):
+        clear_all_caches()
+        tracer = Tracer()
+        net = (
+            JitteredNetwork(params, seed=3)
+            if network == "jittered"
+            else JitteredNetwork(params, jitter_sigma=0.0, straggler_prob=0.0)
+        )
+        with engine(oracle), tracing(tracer) if traced else nullcontext():
+            report = MachineEmulator(
+                params=params, cost_model=cost_model, network=net, seed=3
+            ).run(trace)
+        return (
+            repr(report.total_us),
+            repr(report.per_proc_total_us),
+            repr(report.per_proc_comp_us),
+            repr(report.per_proc_cache_us),
+            repr(report.per_proc_local_us),
+            net._rng.bit_generator.state,
+            [repr(e) for e in tracer.events],
+        )
+
+    assert run(False) == run(True)
 
 
 def test_ge_point_summary_bit_identical():

@@ -21,6 +21,7 @@ from repro.serve import (
     make_handler,
     point_digest,
 )
+from repro.serve.server import MAX_BODY_BYTES
 
 CM = CalibratedCostModel()
 
@@ -48,15 +49,21 @@ class _Channel:
         self.wf.write(data)
 
 
-def http(service, method: str, path: str, body=None):
-    """One request through the live handler class; returns (status, doc)."""
+def http(service, method: str, path: str, body=None, content_length=None):
+    """One request through the live handler class; returns (status, doc).
+
+    ``content_length`` overrides the ``Content-Length`` header the body
+    would get (a lying or hostile client).
+    """
     head = f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
     if body is not None:
         payload = (
             body if isinstance(body, bytes) else json.dumps(body).encode()
         )
+        if content_length is None:
+            content_length = len(payload)
         head += (
-            f"Content-Length: {len(payload)}\r\n"
+            f"Content-Length: {content_length}\r\n"
             "Content-Type: application/json\r\n\r\n"
         )
         raw = head.encode() + payload
@@ -192,6 +199,57 @@ class TestHermeticHTTP:
             assert status == 400 and doc["code"] == 400
             status, doc = http(service, "POST", "/v1/predict", b"{nope")
             assert status == 400 and "not JSON" in doc["error"]
+
+
+class _PositionAtClose(io.BytesIO):
+    """A request stream that remembers how far the handler read it."""
+
+    position = None
+
+    def close(self):
+        self.position = self.tell()
+        super().close()
+
+
+class TestRequestBodies:
+    """``Content-Length`` is checked before a byte of the body is read."""
+
+    @pytest.mark.parametrize(
+        "length,code",
+        [("-1", 400), (str(MAX_BODY_BYTES + 1), 413), (str(10**12), 413), ("ten", 400)],
+        ids=["negative", "one-over", "huge", "not-a-number"],
+    )
+    def test_bad_content_length_is_refused(self, tmp_path, length, code):
+        with make_service(tmp_path) as service:
+            status, doc = http(
+                service, "POST", "/v1/predict", DOC, content_length=length
+            )
+            assert status == code
+            assert doc["status"] == "error" and doc["code"] == code
+            assert service.stats()["requests"]["total"] == 0
+
+    def test_refusal_reads_nothing_and_closes(self, tmp_path):
+        head = (
+            "POST /v1/predict HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode()
+        pipelined = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        channel = _Channel(head + json.dumps(DOC).encode() + pipelined)
+        channel._rf = _PositionAtClose(channel._rf.getvalue())
+        with make_service(tmp_path) as service:
+            make_handler(service)(channel, ("127.0.0.1", 0), None)
+        response = channel.wf.getvalue()
+        assert response.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close\r\n" in response
+        assert response.count(b"HTTP/1.1 ") == 1  # the GET was never served
+        assert channel._rf.position == len(head)  # the body was not read
+
+    def test_body_of_exactly_the_limit_is_served(self, tmp_path):
+        body = json.dumps(DOC).encode()
+        body += b" " * (MAX_BODY_BYTES - len(body))  # JSON allows the padding
+        with make_service(tmp_path) as service:
+            status, doc = http(service, "POST", "/v1/predict", body)
+        assert status == 200 and doc["status"] == "ok"
 
 
 class TestClient:
