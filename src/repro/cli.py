@@ -78,10 +78,8 @@ from .core import (
     CalibratedCostModel,
     LogGPParameters,
     run_ge_point,
-    simulate_causal,
-    simulate_standard,
-    simulate_worstcase,
 )
+from .core.program_sim import SIMULATORS
 from .core.units import us_to_s
 from .layouts import LAYOUTS
 from .obs import (
@@ -110,12 +108,6 @@ from .sweep import expand_grid, run_sweep
 from .trace.serialization import save_trace
 
 __all__ = ["main", "build_parser"]
-
-_ALGORITHMS = {
-    "standard": simulate_standard,
-    "worstcase": simulate_worstcase,
-    "causal": simulate_causal,
-}
 
 _PATTERNS = {
     "sample": lambda P, size: sample_pattern(size),
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timeline", help="simulate one communication step")
     p.add_argument("--pattern", choices=sorted(_PATTERNS), default="sample")
-    p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="standard")
+    p.add_argument("--algorithm", choices=sorted(SIMULATORS), default="standard")
     p.add_argument("--size", type=int, default=1160, help="message bytes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=100)
@@ -589,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svg", help="render a communication step as SVG")
     p.add_argument("--pattern", choices=sorted(_PATTERNS), default="sample")
-    p.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="standard")
+    p.add_argument("--algorithm", choices=sorted(SIMULATORS), default="standard")
     p.add_argument("--size", type=int, default=1160)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg-width", type=int, default=900)
@@ -603,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_timeline(args: argparse.Namespace) -> int:
     params = _machine(args)
     pattern = _PATTERNS[args.pattern](params.P if args.pattern != "sample" else 10, args.size)
-    result = _ALGORITHMS[args.algorithm](params, pattern, seed=args.seed)
+    result = SIMULATORS[args.algorithm](params, pattern, seed=args.seed)
     _record(args).note(
         params=loggp_dict(params), engine=args.algorithm,
         workload={"pattern": args.pattern, "size": args.size},
@@ -1233,7 +1225,7 @@ def _cmd_svg(args: argparse.Namespace) -> int:
 
     params = _machine(args)
     pattern = _PATTERNS[args.pattern](params.P if args.pattern != "sample" else 10, args.size)
-    result = _ALGORITHMS[args.algorithm](params, pattern, seed=args.seed)
+    result = SIMULATORS[args.algorithm](params, pattern, seed=args.seed)
     save_timeline_svg(
         result.timeline,
         args.output,

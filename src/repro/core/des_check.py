@@ -54,7 +54,8 @@ def simulate_causal(
     ``latency_of(message) -> us`` overrides the wire latency per message
     (the machine emulator's jittered network); default is ``params.L``.
 
-    ``record=False`` is for callers that read only the clocks: no
+    ``record=False`` is for callers that read only the clocks and
+    :attr:`~repro.core.standard_sim.SimulationResult.busy`: no
     :class:`~repro.core.events.CommEvent` is built, so the returned
     timeline is empty unless the ambient tracer is enabled.
     """

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from ..layouts import LAYOUTS
 from ..machine.emulator import MachineEmulator, MeasuredReport
-from ..obs.events import get_tracer
 from ..trace.program import ProgramTrace
 from .cache_extension import CachePredictionModel
 from .costmodel import CostModel
@@ -120,18 +119,14 @@ def run_ge_point(
     if layout_name not in LAYOUTS:
         raise ValueError(f"unknown layout {layout_name!r}; known: {sorted(LAYOUTS)}")
     # imported on first use, so `import repro` does not load the kernel
-    from ..kernel.vector import ge_plan, simulate_programs_batch
+    from ..kernel.vector import ge_plan
 
     plan = ge_plan(n, b, layout_name, params.P)
-    if get_tracer().enabled:
-        # Traced: the event-emitting step simulators, one run per engine.
-        predictor = RunningTimePredictor(params, cost_model, seed=seed)
-        pred_std, pred_wc = predictor.predict_both(plan.trace)
-    else:
-        # Untraced: the batch kernel's width-1 lane over the shared plan,
-        # the identical float-operation sequence without the event stream.
-        reports = simulate_programs_batch(plan, [(params, cost_model)], [seed])[0]
-        pred_std, pred_wc = reports["standard"], reports["worstcase"]
+    # One run per engine over the shared trace; the step simulators
+    # record events only when the ambient tracer reads them.
+    pred_std, pred_wc = RunningTimePredictor(
+        params, cost_model, seed=seed
+    ).predict_both(plan.trace)
     measured = None
     if with_measured:
         measured = _measured_report(

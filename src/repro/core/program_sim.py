@@ -39,11 +39,20 @@ from .loggp import LogGPParameters, OpKind
 from .standard_sim import simulate_standard
 from .worstcase_sim import simulate_worstcase
 
-__all__ = ["StepRecord", "PredictionReport", "ProgramSimulator", "SimMode"]
+__all__ = [
+    "StepRecord",
+    "PredictionReport",
+    "ProgramSimulator",
+    "SimMode",
+    "SIMULATORS",
+]
 
 SimMode = Literal["standard", "worstcase", "causal"]
 
-_SIMULATORS = {
+#: the step simulator of each communication algorithm, by mode name —
+#: the one table the program simulator, the batch kernel and the CLI
+#: share (the test oracle swaps its entries for the reference engines)
+SIMULATORS = {
     "standard": simulate_standard,
     "worstcase": simulate_worstcase,
     "causal": simulate_causal,
@@ -141,8 +150,8 @@ class ProgramSimulator:
         keep_steps: bool = False,
         rng: Optional[np.random.Generator] = None,
     ):
-        if mode not in _SIMULATORS:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_SIMULATORS)}")
+        if mode not in SIMULATORS:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(SIMULATORS)}")
         if iter_overhead_us < 0:
             raise ValueError("iter_overhead_us must be non-negative")
         self.params = params
@@ -194,23 +203,20 @@ class ProgramSimulator:
         structured events on the ``sim:<mode>`` track: a ``compute`` slice
         per processor per computation phase, with the communication
         phases' ``comm``/``send``/``recv`` slices emitted by the
-        underlying step simulators (see :mod:`repro.obs`).  Untraced
-        standard and worst-case runs without ``overlap`` or
-        ``keep_steps`` use the kernel's event-free step simulators,
-        which give the same numbers without building the event stream.
+        underlying step simulators (see :mod:`repro.obs`).  The step
+        simulators record their events only when something reads them —
+        the tracer, ``overlap`` or ``keep_steps``; otherwise the run
+        takes their clocks and engaged times alone, the same numbers
+        without the event stream.
         """
         tracer = get_tracer()
         with tracer.in_track(f"sim:{self.mode}"):
             return self._run_traced(trace, tracer)
 
     def _run_traced(self, trace: ProgramTrace, tracer) -> PredictionReport:
-        simulate = _SIMULATORS[self.mode]
-        lean = None
-        if not (tracer.enabled or self.overlap or self.keep_steps):
-            # only clocks and engaged times are needed (see run())
-            from ..kernel.fastsim import LEAN_SIMULATORS
-
-            lean = LEAN_SIMULATORS.get(self.mode)
+        simulate = SIMULATORS[self.mode]
+        # events are read only by overlap and step records (see run())
+        record = self.overlap or self.keep_steps
         cost_model = memoize(self.cost_model)
         rng = self.rng if self.rng is not None else np.random.default_rng(self.seed)
         clocks = {p: 0.0 for p in range(trace.num_procs)}
@@ -244,22 +250,21 @@ class ProgramSimulator:
                 }
                 starts = {p: clocks[p] for p in participants}
                 n_msgs = len(step.pattern.remote_messages())
-                if lean is not None:
-                    ctimes, busy = lean(self.params, step.pattern, starts, rng)
-                    for p in participants:
-                        comm_busy[p] += busy.get(p, 0.0)
-                        clocks[p] = ctimes.get(p, clocks[p])
-                    continue  # lean runs keep no step records
-                result = simulate(self.params, step.pattern, start_times=starts, rng=rng)
+                result = simulate(
+                    self.params, step.pattern, start_times=starts, rng=rng,
+                    record=record,
+                )
                 timeline = result.timeline
                 comm_completion = timeline.completion_time
+                # the simulator's engaged-time fold (bit-equal to
+                # timeline.busy_times(): same per-proc summation order)
+                busy = result.busy
 
                 if self.overlap:
                     # Overlap extension: the CPU pays engaged time only;
                     # data dependencies pin it to its last receive end.
                     for p in participants:
-                        busy = timeline.busy_time(p)
-                        comm_busy[p] += busy
+                        comm_busy[p] += busy[p]
                         last_recv = max(
                             (
                                 e.end
@@ -268,11 +273,8 @@ class ProgramSimulator:
                             ),
                             default=0.0,
                         )
-                        clocks[p] = max(starts[p] + busy, last_recv)
+                        clocks[p] = max(starts[p] + busy[p], last_recv)
                 else:
-                    # One scan for all processors (bit-equal to per-proc
-                    # busy_time(): same per-proc summation order).
-                    busy = timeline.busy_times()
                     for p in participants:
                         comm_busy[p] += busy.get(p, 0.0)
                         clocks[p] = result.ctimes.get(p, clocks[p])

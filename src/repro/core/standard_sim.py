@@ -49,6 +49,10 @@ class SimulationResult:
     timeline: StepTimeline
     #: per-processor clock after the step (end of each processor's last op)
     ctimes: dict[int, float]
+    #: per-processor engaged send/receive time, for the processors that
+    #: performed an operation — bit-equal to ``timeline.busy_times()``
+    #: of a recorded run, and filled when no events are recorded too
+    busy: dict[int, float]
     #: self-messages excluded from the LogGP simulation
     skipped_local: tuple[Message, ...] = ()
 
@@ -90,6 +94,7 @@ def simulate_standard(
     start_times: Optional[Mapping[int, float]] = None,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
+    record: bool = True,
 ) -> SimulationResult:
     """Functional entry point for the Figure 2 algorithm.
 
@@ -104,10 +109,15 @@ def simulate_standard(
         at 0); processors not mentioned and not in the pattern are ignored.
     rng, seed:
         Randomness for tie-breaking; ``rng`` wins if both are given.
+    record:
+        ``False`` is for callers that read only the clocks and
+        :attr:`SimulationResult.busy`: no
+        :class:`~repro.core.events.CommEvent` is built, so the returned
+        timeline is empty unless the ambient tracer is enabled.
     """
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
-    return _simulate(params, pattern, start_times, rng)
+    return _simulate(params, pattern, start_times, rng, record)
 
 
 def _simulate(
@@ -115,8 +125,9 @@ def _simulate(
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
+    record: bool = True,
 ) -> SimulationResult:
     # imported on first use: the kernel imports SimulationResult from here
     from ..kernel.fastsim import simulate_standard_fast
 
-    return simulate_standard_fast(params, pattern, start_times, rng)
+    return simulate_standard_fast(params, pattern, start_times, rng, record)

@@ -55,11 +55,16 @@ def simulate_worstcase(
     start_times: Optional[Mapping[int, float]] = None,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
+    record: bool = True,
 ) -> SimulationResult:
-    """Functional entry point for the overestimation algorithm."""
+    """Functional entry point for the overestimation algorithm.
+
+    Arguments mirror :func:`repro.core.standard_sim.simulate_standard`,
+    ``record`` included.
+    """
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
-    return _simulate(params, pattern, start_times, rng)
+    return _simulate(params, pattern, start_times, rng, record)
 
 
 def _simulate(
@@ -67,8 +72,9 @@ def _simulate(
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
+    record: bool = True,
 ) -> SimulationResult:
     # imported on first use, so `import repro` does not load the kernel
     from ..kernel.fastsim import simulate_worstcase_fast
 
-    return simulate_worstcase_fast(params, pattern, start_times, rng)
+    return simulate_worstcase_fast(params, pattern, start_times, rng, record)

@@ -6,8 +6,10 @@ same outputs bit for bit, less interpreter overhead.  The public entry
 points (:mod:`repro.core.standard_sim`, :mod:`repro.core.worstcase_sim`,
 :mod:`repro.core.des_check`, :mod:`repro.core.program_sim`,
 :mod:`repro.machine.emulator`, :mod:`repro.core.predictor`) run here
-unconditionally: untraced GE points take the batch kernel, traced runs
-the event-emitting step simulators.
+unconditionally.  There is one step simulator per algorithm; tracing
+decides only whether it records events (its ``record`` event sink),
+never which code runs.  Untraced sweep grids advance many points at
+once in the batch kernel over those same step simulators.
 
 Bit-identity is not an aspiration but a gate: the differential oracle
 (``tests/test_kernel_differential.py``) and the hypothesis property
@@ -22,7 +24,8 @@ Submodules
 memo
     Fingerprint-keyed memoisation of pure cost functions.
 fastsim
-    Tight-loop versions of the two Figure 2-style step simulators.
+    Tight-loop versions of the two Figure 2-style step simulators, one
+    function per algorithm.
 fastdes
     Flat-heap, sequence-exact version of the causal DES cross-check.
 vector

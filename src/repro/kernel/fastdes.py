@@ -52,9 +52,12 @@ completion schedules twice: its ``INIT_DELIVER`` is pushed at once and
 the decision's entry rides the fused call.
 
 Event sink: ``record=False`` builds no :class:`CommEvent` — the caller
-reads only the clocks (the machine emulator).  The schedule, the clocks
-and the latency draws are the same either way, and an enabled tracer
-still gets its events, because it exports them.
+reads only the clocks and engaged times (the machine emulator, a program
+run without overlap or step records).  Engaged time is folded per
+processor at the event sites either way (``SimulationResult.busy``,
+bit-equal to ``StepTimeline.busy_times()`` of a recorded run).  The
+schedule, the clocks and the latency draws are the same either way, and
+an enabled tracer still gets its events, because it exports them.
 
 Float discipline: a reference ``Timeout(delta)`` schedules at
 ``now + delta`` where ``delta = target - now`` — which can differ from
@@ -111,7 +114,8 @@ def simulate_causal_fast(
     """Flat-heap replay of the reference causal model; see module docstring.
 
     ``record=False`` leaves the returned timeline without events unless
-    the ambient tracer is enabled; clocks are identical either way.
+    the ambient tracer is enabled; clocks and engaged times are identical
+    either way.
     """
     if latency_of is None:
         latency_of = lambda _msg: params.L  # noqa: E731 - mirrors reference
@@ -120,7 +124,8 @@ def simulate_causal_fast(
     starts = dict(start_times or {})
     remote = pattern.remote_messages()
     local = pattern.local_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
+    active = {m.src for m in remote} | {m.dst for m in remote}
+    procs = sorted(active | set(starts))
 
     o = params.o
     g = params.g
@@ -139,6 +144,7 @@ def simulate_causal_fast(
     received = [0] * n_procs
     last_kind: list = [None] * n_procs
     last_end = [starts.get(p, 0.0) for p in procs]
+    busy = [0.0] * n_procs
     sends = [deque() for _ in range(n_procs)]
     arrived: list = [[] for _ in range(n_procs)]
     wait_state = [_NO_WAIT] * n_procs
@@ -206,6 +212,7 @@ def simulate_causal_fast(
                     events_append(CommEvent(
                         procs[pid], _RECV, recv_start, o, msg, arrival=arrival
                     ))
+                busy[pid] += o
                 entry = (now + o, seq, _RECV_END, pid, recv_start + o)
             seq += 1
             return entry
@@ -226,6 +233,7 @@ def simulate_causal_fast(
                     events_append(
                         CommEvent(procs[pid], _SEND, send_start, duration, msg)
                     )
+                busy[pid] += duration
                 entry = (
                     now + duration, seq, _SEND_END, pid, send_start + duration, msg
                 )
@@ -280,6 +288,7 @@ def simulate_causal_fast(
                 events_append(CommEvent(
                     procs[pid], _RECV, recv_start, o, item[6], arrival=item[5]
                 ))
+            busy[pid] += o
             pending = (t + o, seq, _RECV_END, pid, recv_start + o)
             seq += 1
         elif kind == _WAKEUP:
@@ -322,4 +331,9 @@ def simulate_causal_fast(
         tracer.count("des.events", seq)
         tracer.count("sim.comm_steps.causal")
         tracer.emit_comm_step(timeline, ctimes, algo="causal")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
+    return SimulationResult(
+        timeline=timeline,
+        ctimes=ctimes,
+        busy={p: busy[i] for i, p in enumerate(procs) if p in active},
+        skipped_local=local,
+    )

@@ -22,6 +22,16 @@ same RNG consumption — but with the per-operation overhead removed:
   same single ``integers`` draw, so the picks and the generator state
   agree, without the list-to-array conversion (~5x cheaper per draw).
 
+Event sink: ``record=False`` builds no :class:`CommEvent`, for callers
+that read only the clocks and engaged times (the batch kernel, a
+program run without overlap or step records).  Each processor's engaged
+time is folded at the operation sites either way and returned as
+:attr:`SimulationResult.busy` — the same per-processor left-fold over
+the same durations in the same order as ``StepTimeline.busy_times()``
+over the events, so the two are bit-equal.  The schedule, the clocks and
+the RNG draws do not depend on ``record``, and an enabled tracer still
+gets its events, because it exports them.
+
 Float discipline: every arithmetic expression here is the same sequence
 of operations as the reference (e.g. ``arrival = (start + duration) + L``,
 never ``start + (duration + L)``), so results are bit-equal, not just
@@ -45,13 +55,7 @@ from ..core.standard_sim import SimulationResult
 from ..obs.events import get_tracer
 from .memo import send_durations
 
-__all__ = [
-    "simulate_standard_fast",
-    "simulate_worstcase_fast",
-    "simulate_standard_lean",
-    "simulate_worstcase_lean",
-    "LEAN_SIMULATORS",
-]
+__all__ = ["simulate_standard_fast", "simulate_worstcase_fast"]
 
 _INF = float("inf")
 _SEND = OpKind.SEND
@@ -63,12 +67,16 @@ def simulate_standard_fast(
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
+    record: bool = True,
 ) -> SimulationResult:
     """Fast path of the Figure 2 algorithm (see module docstring)."""
+    tracer = get_tracer()
+    record = record or tracer.enabled
     starts = dict(start_times or {})
     remote = pattern.remote_messages()
     local = pattern.local_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
+    active = {m.src for m in remote} | {m.dst for m in remote}
+    procs = sorted(active | set(starts))
 
     o = params.o
     g = params.g
@@ -87,14 +95,15 @@ def simulate_standard_fast(
         last_kind[p] = None
         send_q[p] = deque()
         recv_h[p] = []
+    # engaged time of every processor that operates (busy_times()'s keys)
+    busy = {p: 0.0 for p in procs if p in active}
     for m in remote:  # one pass; per-source order is the remote order
         send_q[m.src].append(m)
 
     timeline = StepTimeline(
         params=params, start_times={p: ctime[p] for p in procs}
     )
-    events = timeline.events
-    events_append = events.append
+    events_append = timeline.events.append
 
     while True:
         # One scan finds the senders and their minimum clock together.
@@ -135,137 +144,6 @@ def simulate_standard_fast(
         rh = recv_h[proc]
         ct = ctime[proc]
         lk = last_kind[proc]
-        while True:
-            if rh:
-                arrival = rh[0][0]
-                start_recv = max(arrival, ct if lk is None else ct + g)
-            else:
-                start_recv = _INF
-            start_send = (
-                ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-            )
-
-            if start_send < start_recv:
-                msg = sq.popleft()
-                size = msg.size
-                duration = sdur_get(size)
-                if duration is None:
-                    duration = sdur[size] = o + (size - 1) * G
-                events_append(CommEvent(proc, _SEND, start_send, duration, msg))
-                ct = start_send + duration
-                lk = _SEND
-                heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
-            else:
-                arrival, _, msg = heappop(rh)
-                events_append(
-                    CommEvent(proc, _RECV, start_recv, o, msg, arrival=arrival)
-                )
-                ct = start_recv + o
-                lk = _RECV
-            if not sq or not ct < other_min:
-                break
-        ctime[proc] = ct
-        last_kind[proc] = lk
-
-    # Drain: every processor performs its remaining receives.
-    for p in procs:
-        rh = recv_h[p]
-        if not rh:
-            continue
-        ct = ctime[p]
-        lk = last_kind[p]
-        while rh:
-            arrival, _, msg = heappop(rh)
-            start = max(arrival, ct if lk is None else ct + g)
-            events_append(CommEvent(p, _RECV, start, o, msg, arrival=arrival))
-            ct = start + o
-            lk = _RECV
-        ctime[p] = ct
-        last_kind[p] = lk
-
-    ctimes = {p: ctime[p] for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.standard")
-        tracer.emit_comm_step(timeline, ctimes, algo="standard")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
-
-
-def simulate_standard_lean(
-    params: LogGPParameters,
-    pattern: CommPattern,
-    start_times: Optional[Mapping[int, float]],
-    rng: np.random.Generator,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """The Figure 2 algorithm without event materialisation.
-
-    Identical schedule, clocks and RNG consumption as
-    :func:`simulate_standard_fast`, but instead of building the
-    :class:`CommEvent` stream it folds each processor's engaged time on
-    the fly — the same per-processor left-fold over the same durations
-    in the same order as ``StepTimeline.busy_times()`` over the events,
-    so both outputs are bit-equal to the full simulation's.  Returns
-    ``(ctimes, busy)``.
-
-    For untraced callers only (the batch kernel, an untraced
-    :class:`~repro.core.program_sim.ProgramSimulator`): no timeline
-    exists to trace.
-    """
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
-
-    o = params.o
-    g = params.g
-    L = params.L
-    G = params.G
-    rs_gap = max(o, g) - o
-    sdur = send_durations(params)
-    sdur_get = sdur.get
-
-    ctime: dict[int, float] = {}
-    busy: dict[int, float] = {}
-    last_kind: dict[int, Optional[OpKind]] = {}
-    send_q: dict[int, deque] = {}
-    recv_h: dict[int, list] = {}
-    for p in procs:
-        ctime[p] = starts.get(p, 0.0)
-        busy[p] = 0.0
-        last_kind[p] = None
-        send_q[p] = deque()
-        recv_h[p] = []
-    for m in remote:
-        send_q[m.src].append(m)
-
-    while True:
-        senders = []
-        min_ct = _INF
-        for p in procs:
-            if send_q[p]:
-                senders.append(p)
-                c = ctime[p]
-                if c < min_ct:
-                    min_ct = c
-        if not senders:
-            break
-        if len(senders) == 1:
-            proc = senders[0]
-            other_min = _INF
-        else:
-            tied = [p for p in senders if ctime[p] == min_ct]
-            if len(tied) == 1:
-                proc = tied[0]
-            else:
-                proc = tied[int(rng.integers(len(tied)))]
-            other_min = _INF
-            for p in senders:
-                if p != proc and ctime[p] < other_min:
-                    other_min = ctime[p]
-
-        sq = send_q[proc]
-        rh = recv_h[proc]
-        ct = ctime[proc]
-        lk = last_kind[proc]
         bz = busy[proc]
         while True:
             if rh:
@@ -283,12 +161,18 @@ def simulate_standard_lean(
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
+                if record:
+                    events_append(CommEvent(proc, _SEND, start_send, duration, msg))
                 bz += duration
                 ct = start_send + duration
                 lk = _SEND
                 heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
             else:
                 arrival, _, msg = heappop(rh)
+                if record:
+                    events_append(
+                        CommEvent(proc, _RECV, start_recv, o, msg, arrival=arrival)
+                    )
                 bz += o
                 ct = start_recv + o
                 lk = _RECV
@@ -298,6 +182,7 @@ def simulate_standard_lean(
         last_kind[proc] = lk
         busy[proc] = bz
 
+    # Drain: every processor performs its remaining receives.
     for p in procs:
         rh = recv_h[p]
         if not rh:
@@ -308,6 +193,8 @@ def simulate_standard_lean(
         while rh:
             arrival, _, msg = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
+            if record:
+                events_append(CommEvent(p, _RECV, start, o, msg, arrival=arrival))
             bz += o
             ct = start + o
             lk = _RECV
@@ -315,7 +202,12 @@ def simulate_standard_lean(
         last_kind[p] = lk
         busy[p] = bz
 
-    return ctime, busy
+    if tracer.enabled:
+        tracer.count("sim.comm_steps.standard")
+        tracer.emit_comm_step(timeline, ctime, algo="standard")
+    return SimulationResult(
+        timeline=timeline, ctimes=ctime, busy=busy, skipped_local=local
+    )
 
 
 def simulate_worstcase_fast(
@@ -323,12 +215,16 @@ def simulate_worstcase_fast(
     pattern: CommPattern,
     start_times: Optional[Mapping[int, float]],
     rng: np.random.Generator,
+    record: bool = True,
 ) -> SimulationResult:
     """Fast path of the overestimation algorithm (round structure kept)."""
+    tracer = get_tracer()
+    record = record or tracer.enabled
     starts = dict(start_times or {})
     remote = pattern.remote_messages()
     local = pattern.local_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
+    active = {m.src for m in remote} | {m.dst for m in remote}
+    procs = sorted(active | set(starts))
 
     o = params.o
     g = params.g
@@ -349,6 +245,7 @@ def simulate_worstcase_fast(
         send_q[p] = deque()
         recv_h[p] = []
         expected[p] = 0
+    busy = {p: 0.0 for p in procs if p in active}
     for m in remote:  # one pass; per-source order is the remote order
         send_q[m.src].append(m)
         expected[m.dst] += 1
@@ -357,21 +254,24 @@ def simulate_worstcase_fast(
     timeline = StepTimeline(
         params=params, start_times={p: ctime[p] for p in procs}
     )
-    events = timeline.events
-    events_append = events.append
+    events_append = timeline.events.append
 
     def drain_recvs(proc: int) -> None:
         rh = recv_h[proc]
         ct = ctime[proc]
         lk = last_kind[proc]
+        bz = busy[proc]
         while rh:
             arrival, _, msg = heappop(rh)
             start = max(arrival, ct if lk is None else ct + g)
-            events_append(CommEvent(proc, _RECV, start, o, msg, arrival=arrival))
+            if record:
+                events_append(CommEvent(proc, _RECV, start, o, msg, arrival=arrival))
+            bz += o
             ct = start + o
             lk = _RECV
         ctime[proc] = ct
         last_kind[proc] = lk
+        busy[proc] = bz
 
     while remaining:
         # One scan classifies the round: senders that may transmit
@@ -403,136 +303,8 @@ def simulate_worstcase_fast(
             duration = sdur_get(size)
             if duration is None:
                 duration = sdur[size] = o + (size - 1) * G
-            events_append(CommEvent(victim, _SEND, start, duration, msg))
-            end = start + duration
-            ctime[victim] = end
-            last_kind[victim] = _SEND
-            heappush(recv_h[msg.dst], (end + L, msg.uid, msg))
-            expected[msg.dst] -= 1
-            remaining -= 1
-            continue
-
-        for p in ready:
-            sq = send_q[p]
-            ct = ctime[p]
-            lk = last_kind[p]
-            remaining -= len(sq)
-            while sq:
-                msg = sq.popleft()
-                start = (
-                    ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-                )
-                size = msg.size
-                duration = sdur_get(size)
-                if duration is None:
-                    duration = sdur[size] = o + (size - 1) * G
-                events_append(CommEvent(p, _SEND, start, duration, msg))
-                ct = start + duration
-                lk = _SEND
-                heappush(recv_h[msg.dst], (ct + L, msg.uid, msg))
-                expected[msg.dst] -= 1
-            ctime[p] = ct
-            last_kind[p] = lk
-        for p in procs:
-            if recv_h[p]:
-                drain_recvs(p)
-
-    for p in procs:
-        if recv_h[p]:
-            drain_recvs(p)
-
-    ctimes = {p: ctime[p] for p in procs}
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("sim.comm_steps.worstcase")
-        tracer.emit_comm_step(timeline, ctimes, algo="worstcase")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
-
-
-def simulate_worstcase_lean(
-    params: LogGPParameters,
-    pattern: CommPattern,
-    start_times: Optional[Mapping[int, float]],
-    rng: np.random.Generator,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """The §4.2 overestimation algorithm without event materialisation.
-
-    The :func:`simulate_standard_lean` counterpart for the worst-case
-    engine: same schedule, clocks and RNG draws as
-    :func:`simulate_worstcase_fast`, engaged time folded on the fly.
-    Returns ``(ctimes, busy)``; untraced callers only.
-    """
-    starts = dict(start_times or {})
-    remote = pattern.remote_messages()
-    procs = sorted({m.src for m in remote} | {m.dst for m in remote} | set(starts))
-
-    o = params.o
-    g = params.g
-    L = params.L
-    G = params.G
-    rs_gap = max(o, g) - o
-    sdur = send_durations(params)
-    sdur_get = sdur.get
-
-    ctime: dict[int, float] = {}
-    busy: dict[int, float] = {}
-    last_kind: dict[int, Optional[OpKind]] = {}
-    send_q: dict[int, deque] = {}
-    recv_h: dict[int, list] = {}
-    expected: dict[int, int] = {}
-    for p in procs:
-        ctime[p] = starts.get(p, 0.0)
-        busy[p] = 0.0
-        last_kind[p] = None
-        send_q[p] = deque()
-        recv_h[p] = []
-        expected[p] = 0
-    for m in remote:
-        send_q[m.src].append(m)
-        expected[m.dst] += 1
-    remaining = len(remote)
-
-    def drain_recvs(proc: int) -> None:
-        rh = recv_h[proc]
-        ct = ctime[proc]
-        lk = last_kind[proc]
-        bz = busy[proc]
-        while rh:
-            arrival, _, msg = heappop(rh)
-            start = max(arrival, ct if lk is None else ct + g)
-            bz += o
-            ct = start + o
-            lk = _RECV
-        ctime[proc] = ct
-        last_kind[proc] = lk
-        busy[proc] = bz
-
-    while remaining:
-        ready = []
-        receivers = []
-        for p in procs:
-            if recv_h[p]:
-                receivers.append(p)
-            elif send_q[p] and expected[p] == 0:
-                ready.append(p)
-        if not ready:
-            if receivers:
-                for p in receivers:
-                    drain_recvs(p)
-                continue
-            blocked = [p for p in procs if send_q[p]]
-            if len(blocked) == 1:
-                victim = blocked[0]
-            else:
-                victim = blocked[int(rng.integers(len(blocked)))]
-            msg = send_q[victim].popleft()
-            lk = last_kind[victim]
-            ct = ctime[victim]
-            start = ct if lk is None else (ct + rs_gap if lk is _RECV else ct + g)
-            size = msg.size
-            duration = sdur_get(size)
-            if duration is None:
-                duration = sdur[size] = o + (size - 1) * G
+            if record:
+                events_append(CommEvent(victim, _SEND, start, duration, msg))
             busy[victim] += duration
             end = start + duration
             ctime[victim] = end
@@ -557,6 +329,8 @@ def simulate_worstcase_lean(
                 duration = sdur_get(size)
                 if duration is None:
                     duration = sdur[size] = o + (size - 1) * G
+                if record:
+                    events_append(CommEvent(p, _SEND, start, duration, msg))
                 bz += duration
                 ct = start + duration
                 lk = _SEND
@@ -573,12 +347,9 @@ def simulate_worstcase_lean(
         if recv_h[p]:
             drain_recvs(p)
 
-    return ctime, busy
-
-
-#: the event-free step simulators by engine name (same clocks, engaged
-#: times and RNG draws as the ``*_fast`` twins, no CommEvent stream)
-LEAN_SIMULATORS = {
-    "standard": simulate_standard_lean,
-    "worstcase": simulate_worstcase_lean,
-}
+    if tracer.enabled:
+        tracer.count("sim.comm_steps.worstcase")
+        tracer.emit_comm_step(timeline, ctime, algo="worstcase")
+    return SimulationResult(
+        timeline=timeline, ctimes=ctime, busy=busy, skipped_local=local
+    )

@@ -33,9 +33,12 @@ and the differential oracle):
   makes the unconditional vector add bit-equal to the reference's
   ``if t:``-guarded add (``x + 0.0 == x`` for ``x >= 0.0``).
 
-Untraced callers run this batch path; when the ambient tracer is
-enabled they take the event-emitting scalar kernel instead, which stays
-the single source of the event stream.
+The lanes' step simulators run with ``record=False``: no
+:class:`~repro.core.events.CommEvent` is built, and each lane reads the
+clocks and the engaged-time fold (``SimulationResult.busy``) the same
+simulators return to a recorded run.  Traced callers go through
+:class:`~repro.core.program_sim.ProgramSimulator`, one run per engine,
+because a batch would interleave the lanes' event streams.
 """
 
 from __future__ import annotations
@@ -46,14 +49,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..apps.gauss import GEConfig, _shared_trace
-from ..core.des_check import simulate_causal
 from ..core.loggp import LogGPParameters
-from ..core.program_sim import PredictionReport
-from ..core.standard_sim import simulate_standard
-from ..core.worstcase_sim import simulate_worstcase
+from ..core.program_sim import SIMULATORS, PredictionReport
 from ..layouts import LAYOUTS
 from ..trace.program import ProgramTrace
-from .fastsim import LEAN_SIMULATORS
 from .memo import memoize
 
 __all__ = [
@@ -64,12 +63,6 @@ __all__ = [
     "simulate_programs_batch",
     "evaluate_ge_points_batch",
 ]
-
-_SIMULATORS = {
-    "standard": simulate_standard,
-    "worstcase": simulate_worstcase,
-    "causal": simulate_causal,
-}
 
 #: the engines one GE point evaluates (the ``predict_both`` pair)
 GE_MODES = ("standard", "worstcase")
@@ -145,11 +138,11 @@ def compile_plan(trace: ProgramTrace) -> ProgramPlan:
 
 
 #: the compiled plan of the last GE configuration evaluated, as
-#: ``(key, plan)``.  A plan pins its trace (``plan.trace`` serves traced
-#: callers and the emulator), and a paper-scale plan weighs megabytes, so
-#: a process keeps one: replicates of a configuration reuse it, the batch
-#: evaluator already groups a call's same-configuration lanes, and a
-#: Fig. 7 grid never revisits one.
+#: ``(key, plan)``.  A plan pins its trace (``plan.trace`` serves
+#: ``run_ge_point`` and the emulator), and a paper-scale plan weighs
+#: megabytes, so a process keeps one: replicates of a configuration reuse
+#: it, the batch evaluator already groups a call's same-configuration
+#: lanes, and a Fig. 7 grid never revisits one.
 _plan_slot: Optional[tuple[tuple[int, int, str, int], ProgramPlan]] = None
 
 
@@ -216,13 +209,17 @@ def simulate_programs_batch(
 
     Returns one ``{mode: PredictionReport}`` dict per point lane, each
     report bit-identical to the corresponding scalar simulation.
+    Raises ``ValueError`` on a seeds/machines length mismatch, an unknown
+    mode, or a mode given twice (its lanes would share clocks).
     """
     n_pts = len(machines)
     if n_pts != len(seeds):
         raise ValueError(f"{n_pts} machines but {len(seeds)} seeds")
     for mode in modes:
-        if mode not in _SIMULATORS:
+        if mode not in SIMULATORS:
             raise ValueError(f"unknown mode {mode!r}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate mode in {tuple(modes)!r}")
     P = plan.num_procs
 
     # SoA lane state: one (P, n_pts) array per mode for the diverging
@@ -275,25 +272,17 @@ def simulate_programs_batch(
             continue
         participants = pstep.participants
         for mode in modes:
-            # untraced by construction: the event-free step simulators
-            lean = LEAN_SIMULATORS.get(mode)
-            simulate = _SIMULATORS[mode]
+            simulate = SIMULATORS[mode]
             cl = clocks[mode]
             cb = comm_busy[mode]
             for i in range(n_pts):
                 starts = {p: cl[p, i].item() for p in participants}
-                if lean is not None:
-                    ctimes, busy = lean(
-                        machines[i][0], pstep.pattern,
-                        start_times=starts, rng=lane_rngs[i][mode],
-                    )
-                else:
-                    result = simulate(
-                        machines[i][0], pstep.pattern,
-                        start_times=starts, rng=lane_rngs[i][mode],
-                    )
-                    busy = result.timeline.busy_times()
-                    ctimes = result.ctimes
+                result = simulate(
+                    machines[i][0], pstep.pattern,
+                    start_times=starts, rng=lane_rngs[i][mode], record=False,
+                )
+                busy = result.busy
+                ctimes = result.ctimes
                 for p in participants:
                     cb[p, i] += busy.get(p, 0.0)
                     cl[p, i] = ctimes.get(p, cl[p, i].item())

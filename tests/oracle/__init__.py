@@ -9,11 +9,10 @@ independent implementation, bit for bit.
 
 :func:`reference_engine` runs the production pipeline with the oracle in
 place of the kernel: the program simulator and the emulator price
-communication with the oracle's step simulators (an untraced program
-run, too: the kernel's event-free step simulators are withdrawn) and
-never memoise cost models, the emulator's nodes draw their noise one op
-at a time, and a GE point builds a fresh trace and runs both predictions
-and the emulator one by one.  Sweeps and UQ runs evaluated in-process
+communication with the oracle's step simulators and never memoise cost
+models, the emulator's nodes draw their noise one op at a time, and a
+GE point builds a fresh trace and runs both predictions and the
+emulator one by one.  Sweeps and UQ runs evaluated in-process
 (``workers=1`` without an executor) therefore produce the reference
 digests.  Nothing under ``src/`` imports this package.
 """
@@ -26,7 +25,7 @@ from unittest import mock
 
 from repro.apps.gauss import GEConfig, build_ge_trace
 from repro.core import predictor, program_sim
-from repro.kernel import fastsim, vector
+from repro.kernel import vector
 from repro.layouts import LAYOUTS
 from repro.machine import emulator as emulator_mod
 from repro.machine.cpu import NodeCPU
@@ -102,9 +101,7 @@ def reference_ge_row(
 def reference_engine() -> Iterator[None]:
     """Run the production pipeline on the oracle's engines (in-process)."""
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.dict(program_sim._SIMULATORS, SIMULATORS))
-        # without lean simulators an untraced run falls through to the above
-        stack.enter_context(mock.patch.dict(fastsim.LEAN_SIMULATORS, clear=True))
+        stack.enter_context(mock.patch.dict(program_sim.SIMULATORS, SIMULATORS))
         stack.enter_context(mock.patch.object(program_sim, "memoize", _unmemoized))
         stack.enter_context(
             mock.patch.object(emulator_mod, "simulate_causal", simulate_causal)

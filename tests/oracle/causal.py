@@ -61,7 +61,8 @@ def simulate_causal(
 
     ``record`` is accepted and ignored: the reference always builds the
     full event stream, so production's event-free runs are compared
-    against complete ones.
+    against complete ones.  ``busy`` is ``timeline.busy_times()``, a fold
+    over the events independent of the kernel's on-the-fly one.
     """
     del rng, seed, record  # deterministic, always recording; API symmetry
     if latency_of is None:
@@ -153,4 +154,9 @@ def simulate_causal(
     if tracer.enabled:
         tracer.count("sim.comm_steps.causal")
         tracer.emit_comm_step(timeline, ctimes, algo="causal")
-    return SimulationResult(timeline=timeline, ctimes=ctimes, skipped_local=local)
+    return SimulationResult(
+        timeline=timeline,
+        ctimes=ctimes,
+        busy=timeline.busy_times(),
+        skipped_local=local,
+    )

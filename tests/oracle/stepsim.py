@@ -4,8 +4,11 @@ These are the straightforward transcriptions the kernel
 (:mod:`repro.kernel.fastsim`) is proven against.  They keep the
 per-processor state objects, the full rescan of every sender on every
 iteration and ``rng.choice`` for tie-breaks, so the differential suites
-compare two independent implementations.  Test-only: nothing under
-``src/`` imports this module.
+compare two independent implementations.  Both accept the production
+signature's ``record`` and ignore it: the reference always builds the
+full event stream, and its ``busy`` is ``timeline.busy_times()`` — a
+fold over the events, independent of the kernel's on-the-fly one.
+Test-only: nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -102,7 +105,10 @@ class _Step:
             tracer.count(f"sim.comm_steps.{algo}")
             tracer.emit_comm_step(self.timeline, ctimes, algo=algo)
         return SimulationResult(
-            timeline=self.timeline, ctimes=ctimes, skipped_local=self.local
+            timeline=self.timeline,
+            ctimes=ctimes,
+            busy=self.timeline.busy_times(),
+            skipped_local=self.local,
         )
 
 
@@ -112,8 +118,10 @@ def simulate_standard(
     start_times: Optional[Mapping[int, float]] = None,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
+    record: bool = True,
 ) -> SimulationResult:
     """Figure 2: receives have priority, ties between processors break randomly."""
+    del record  # always recording; API symmetry
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
     step = _Step(params, pattern, start_times, count_expected=False)
@@ -151,8 +159,10 @@ def simulate_worstcase(
     start_times: Optional[Mapping[int, float]] = None,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
+    record: bool = True,
 ) -> SimulationResult:
     """§4.2: receive everything first, then send; random sends break cycles."""
+    del record  # always recording; API symmetry
     if rng is None:
         rng = np.random.default_rng(0 if seed is None else seed)
     step = _Step(params, pattern, start_times, count_expected=True)

@@ -1,5 +1,6 @@
 """Tests for the causal DES cross-check model (repro.core.des_check)."""
 
+import numpy as np
 import pytest
 
 from repro.apps import random_pattern, ring_pattern, sample_pattern
@@ -9,6 +10,7 @@ from repro.core import (
     LogGPParameters,
     simulate_causal,
     simulate_standard,
+    simulate_worstcase,
 )
 from repro.obs import Tracer, tracing
 
@@ -100,23 +102,53 @@ class TestJitteredLatency:
 
 
 class TestEventSink:
-    """``record=False`` drops the event stream and nothing else."""
+    """``record=False`` drops the event stream and nothing else, on every
+    engine (one loop over the engines keeps these tests' ids)."""
 
-    def _pattern(self):
-        return random_pattern(8, 40, seed=5)
+    ENGINES = {
+        "standard": simulate_standard,
+        "worstcase": simulate_worstcase,
+        "causal": simulate_causal,
+    }
+    #: tied start clocks (the tie-break generator is drawn); processor 8
+    #: has a clock but no message, so it performs no operation
+    STARTS = {p: float(p % 3) for p in range(9)}
+
+    def _run(self, simulate, record):
+        pattern = random_pattern(8, 40, seed=5)
+        pattern.add(3, 3, 9)  # a local message, skipped by every engine
+        rng = np.random.default_rng(11)
+        result = simulate(
+            MEIKO_CS2, pattern, start_times=self.STARTS, rng=rng, record=record
+        )
+        return result, rng
 
     def test_clocks_without_events(self):
-        full = simulate_causal(MEIKO_CS2, self._pattern())
-        lean = simulate_causal(MEIKO_CS2, self._pattern(), record=False)
-        assert full.timeline.events
-        assert lean.timeline.events == []
-        assert repr(lean.ctimes) == repr(full.ctimes)
+        for name, simulate in self.ENGINES.items():
+            full, full_rng = self._run(simulate, True)
+            lean, lean_rng = self._run(simulate, False)
+            assert full.timeline.events, name
+            assert lean.timeline.events == [], name
+            assert repr(lean.ctimes) == repr(full.ctimes), name
+            assert repr(lean.busy) == repr(full.busy), name
+            assert len(full.skipped_local) == 1, name
+            assert repr(lean.skipped_local) == repr(full.skipped_local), name
+            assert (
+                lean_rng.bit_generator.state == full_rng.bit_generator.state
+            ), name
+            # the on-the-fly fold == the fold over the recorded events
+            assert repr(sorted(lean.busy.items())) == repr(
+                sorted(full.timeline.busy_times().items())
+            ), name
 
     def test_enabled_tracer_still_gets_events(self):
-        streams = []
-        for record in (True, False):
-            tracer = Tracer()
-            with tracing(tracer):
-                result = simulate_causal(MEIKO_CS2, self._pattern(), record=record)
-            streams.append(([repr(e) for e in tracer.events], result.timeline.events))
-        assert streams[0][0] and streams[0] == streams[1]
+        for name, simulate in self.ENGINES.items():
+            streams = []
+            for record in (True, False):
+                tracer = Tracer()
+                with tracing(tracer):
+                    result, _ = self._run(simulate, record)
+                streams.append(
+                    ([repr(e) for e in tracer.events], result.timeline.events)
+                )
+            assert streams[0][0] and streams[0] == streams[1], name

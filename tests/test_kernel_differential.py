@@ -52,6 +52,12 @@ from .oracle import reference_engine
 
 CM = CalibratedCostModel()
 MODES = ("standard", "worstcase", "causal")
+#: ``(mode, traced)``: a traced run records and compares the event
+#: streams; an untraced one takes the step simulators' ``record=False``
+#: path and its engaged-time fold.  Traced cases keep the bare mode id.
+ENGINE_CASES = [pytest.param(m, True, id=m) for m in MODES] + [
+    pytest.param(m, False, id=f"{m}-untraced") for m in MODES
+]
 
 
 def engine(oracle: bool):
@@ -97,25 +103,30 @@ TRACE_CASES = _trace_cases()
 TRACE_IDS = [c[0] for c in TRACE_CASES]
 
 
-def _predict(trace, params, cost_model, mode, oracle):
-    """One traced prediction run: (report, tracer event stream reprs)."""
+def _predict(trace, params, cost_model, mode, oracle, traced=True):
+    """One prediction run: (report, tracer event stream reprs)."""
     clear_all_caches()
     tracer = Tracer()
-    with engine(oracle), tracing(tracer):
+    with engine(oracle), tracing(tracer) if traced else nullcontext():
         report = ProgramSimulator(params, cost_model, mode=mode, seed=0).run(trace)
     return report, [repr(e) for e in tracer.events]
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode,traced", ENGINE_CASES)
 @pytest.mark.parametrize(
     "trace,params,cost_model",
     [c[1:] for c in TRACE_CASES],
     ids=TRACE_IDS,
 )
-def test_prediction_bit_identical(trace, params, cost_model, mode):
-    """Every app x engine: kernel and reference predictions are bit-equal."""
-    ref, ref_events = _predict(trace, params, cost_model, mode, oracle=True)
-    fast, fast_events = _predict(trace, params, cost_model, mode, oracle=False)
+def test_prediction_bit_identical(trace, params, cost_model, mode, traced):
+    """Every app x engine, traced and untraced: kernel and reference
+    predictions are bit-equal."""
+    ref, ref_events = _predict(
+        trace, params, cost_model, mode, oracle=True, traced=traced
+    )
+    fast, fast_events = _predict(
+        trace, params, cost_model, mode, oracle=False, traced=traced
+    )
 
     assert repr(fast.total_us) == repr(ref.total_us)
     assert repr(fast.per_proc_total_us) == repr(ref.per_proc_total_us)
@@ -192,13 +203,17 @@ def test_emulator_network_bit_identical(trace, params, cost_model, traced, netwo
 
 
 def test_ge_point_summary_bit_identical():
-    """The full point pipeline (predictions + emulator) round-trips."""
+    """The full point pipeline (predictions + emulator) round-trips, and
+    tracing it changes no number (one test, both runs, to keep its id)."""
     with reference_engine():
         ref = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
-    fast = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
-    assert set(ref) == set(fast)
-    for key in ref:
-        assert repr(fast[key]) == repr(ref[key]), key
+    for traced in (False, True):
+        clear_all_caches()
+        with tracing(Tracer()) if traced else nullcontext():
+            fast = summarize_ge_point(120, 30, "diagonal", MEIKO_CS2, CM, seed=0)
+        assert set(ref) == set(fast)
+        for key in ref:
+            assert repr(fast[key]) == repr(ref[key]), (key, traced)
 
 
 class TestSweepDigests:

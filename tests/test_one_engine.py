@@ -27,6 +27,24 @@ def test_retired_kernel_modules_are_gone(name):
         importlib.import_module(name)
 
 
+def test_one_step_simulator_per_algorithm():
+    """``fastsim`` defines one function per algorithm (``record`` makes the
+    events optional) and no table of alternative simulators."""
+    fastsim = importlib.import_module("repro.kernel.fastsim")
+    defined = [
+        name
+        for name, value in vars(fastsim).items()
+        if getattr(value, "__module__", None) == fastsim.__name__
+    ]
+    assert defined == ["simulate_standard_fast", "simulate_worstcase_fast"]
+    tables = [
+        name
+        for name, value in vars(fastsim).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    ]
+    assert tables == []
+
+
 def test_src_has_no_engine_switch_and_no_oracle_import():
     offenders = []
     for path in sorted(SRC.rglob("*.py")):

@@ -25,6 +25,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,3 +294,21 @@ def test_ge_batch_with_measured_matches_scalar():
         assert {k: repr(v) for k, v in got.items()} == {
             k: repr(v) for k, v in expect.items()
         }
+
+
+@pytest.mark.parametrize(
+    "modes,seeds,match",
+    [
+        (("standard", "standard"), [0], "duplicate mode"),
+        (("standard", "bogus"), [0], "unknown mode"),
+        (MODES, [0, 1], "1 machines but 2 seeds"),
+    ],
+    ids=["duplicate-mode", "unknown-mode", "seeds-mismatch"],
+)
+def test_batch_rejects_malformed_lanes(modes, seeds, match):
+    """A repeated mode would fold every phase twice into one lane's clocks
+    and draw from one generator twice; it is refused like the others."""
+    plan = compile_plan(_build((2, [([(0, ("op1", 8))], [(0, 1, 64)])])))
+    lanes = [(_params((5.0, 2.0, 4.0, 0.1), 2), CM)]
+    with pytest.raises(ValueError, match=match):
+        simulate_programs_batch(plan, lanes, seeds, modes=modes)
